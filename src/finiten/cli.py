@@ -23,9 +23,6 @@ from .stein_test import SteinTestConfig, run_test
 
 __all__ = ["main", "build_parser"]
 
-_DESK_CALIB_REPS = 5_000
-_DESK_EVAL_REPS = 2_000
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a single-line diagnostic on usage errors."""
@@ -92,6 +89,8 @@ def _modes_argument(text: str) -> tuple[int, ...] | None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="finiten", description=__doc__)
+    reference = harness.GridSpec()
+    desk = reference.desk_scale()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a sample, one value per line")
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--modes", default="even")
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=50_000)
+    p.add_argument("--reps", type=int, default=reference.calib_reps)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
@@ -153,10 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-grid", action="store_true",
                    help="use the full reference grid (N 5..20, n 10..500)")
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--calib-reps", type=int, default=_DESK_CALIB_REPS)
-    p.add_argument("--eval-reps", type=int, default=_DESK_EVAL_REPS)
+    p.add_argument("--calib-reps", type=int, default=desk.calib_reps)
+    p.add_argument("--eval-reps", type=int, default=desk.eval_reps)
     p.add_argument("--full-reps", action="store_true",
-                   help="use 50,000 calibration / 20,000 evaluation replications")
+                   help=f"use {reference.calib_reps:,} calibration / "
+                        f"{reference.eval_reps:,} evaluation replications")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
@@ -305,33 +305,27 @@ def _cmd_calibrate(args) -> int:
         N=float(args.N), n=args.n, m=args.m, level=args.level,
         cutoff=cutoff, reps=args.reps, seed=seed,
     )
-    table = harness.CalibrationTable((entry,))
     if args.format == "json":
-        text = json.dumps(harness.calibration_to_json(table)) + "\n"
+        text = json.dumps(harness.records_to_json([entry])) + "\n"
     else:
-        text = harness.calibration_to_csv(table)
+        text = harness.records_to_csv(harness.CalibrationEntry, [entry])
     _write_output(args.output, text)
     return 0
 
 
 def _cmd_grid(args) -> int:
     seed = _resolve_seed(args.seed)
-    calib_reps = 50_000 if args.full_reps else args.calib_reps
-    eval_reps = 20_000 if args.full_reps else args.eval_reps
-    if args.full_grid:
-        spec = harness.GridSpec(
-            level=args.level, calib_reps=calib_reps, eval_reps=eval_reps, master_seed=seed
-        )
-    else:
-        spec = harness.GridSpec(
+    # fields left out take the reference protocol's defaults from GridSpec
+    overrides = {}
+    if not args.full_grid:
+        overrides.update(
             N_values=tuple(args.N_values),
             n_values=tuple(args.n_values),
             m_values=tuple(args.m_values),
-            level=args.level,
-            calib_reps=calib_reps,
-            eval_reps=eval_reps,
-            master_seed=seed,
         )
+    if not args.full_reps:
+        overrides.update(calib_reps=args.calib_reps, eval_reps=args.eval_reps)
+    spec = harness.GridSpec(level=args.level, master_seed=seed, **overrides)
     progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     result = harness.run_grid(spec, workers=args.workers, progress=progress)
     if args.format == "json":
@@ -340,7 +334,10 @@ def _cmd_grid(args) -> int:
         text = harness.grid_result_to_csv(result)
     _write_output(args.output, text)
     if args.calibration_out is not None:
-        _write_output(args.calibration_out, harness.calibration_to_csv(result.calibration))
+        _write_output(
+            args.calibration_out,
+            harness.records_to_csv(harness.CalibrationEntry, result.calibration.entries),
+        )
     return 0
 
 
@@ -385,9 +382,9 @@ def _cmd_compare(args) -> int:
         standardize_first=args.standardize,
     )
     if args.format == "json":
-        text = json.dumps(harness.compare_rows_to_json(rows)) + "\n"
+        text = json.dumps(harness.records_to_json(rows)) + "\n"
     else:
-        text = harness.compare_rows_to_csv(rows)
+        text = harness.records_to_csv(harness.CompareRow, rows)
     _write_output(args.output, text)
     return 0
 

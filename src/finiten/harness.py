@@ -18,14 +18,14 @@ import hashlib
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .distribution import FiniteNLaw
 from .edf import batch_edf_statistics
 from .errors import ConfigError, DomainError
-from .stein_test import SteinTestConfig, batch_statistic
+from .stein_test import SteinTestConfig, batch_statistic, standardize
 
 __all__ = [
     "H0",
@@ -51,16 +51,11 @@ __all__ = [
     "POWER_CSV_HEADER",
     "CALIBRATION_CSV_HEADER",
     "COMPARE_CSV_HEADER",
-    "power_rows_to_csv",
-    "calibration_to_csv",
+    "records_to_csv",
+    "records_to_json",
     "compare_rows_to_csv",
     "grid_result_to_csv",
-    "power_rows_to_json",
-    "calibration_to_json",
-    "compare_rows_to_json",
     "grid_result_to_json",
-    "format_modes",
-    "parse_modes_field",
 ]
 
 H0 = "h0"
@@ -249,16 +244,23 @@ def _draw_rows(law, hypothesis, n, count, streams, offset) -> np.ndarray:
     return x
 
 
+def _chunks(law, hypothesis, n, reps, streams):
+    """Yield (slice, draws) for replications 0..reps-1 in bounded chunks.
+
+    The draws are yielded straight from :func:`_draw_rows`, so this frame
+    holds no reference to them while the caller transforms them.
+    """
+    for start in range(0, reps, _CHUNK):
+        count = min(_CHUNK, reps - start)
+        yield slice(start, start + count), _draw_rows(law, hypothesis, n, count, streams, start)
+
+
 def _collect_statistics(
     law, config, basis, hypothesis, n, reps, streams, standardize_first=False
 ) -> np.ndarray:
     out = np.empty(reps)
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        x = _draw_rows(law, hypothesis, n, count, streams, start)
-        out[start : start + count] = batch_statistic(
-            x, config, basis, standardize_first=standardize_first
-        )
+    for sl, x in _chunks(law, hypothesis, n, reps, streams):
+        out[sl] = batch_statistic(x, config, basis, standardize_first=standardize_first)
     return out
 
 
@@ -312,6 +314,30 @@ def calibrate(
     return empirical_cutoff(stats, config.level)
 
 
+def _evaluate(
+    law, config, basis, n, hypothesis, reps, seed, cutoffs, standardize_first=False
+) -> list[PowerRow]:
+    """One PowerRow per (cutoff_source, cutoff) pair in ``cutoffs``.
+
+    The hypothesis's statistics are drawn once, from the cell's
+    "evaluate" streams, and compared against every cutoff.
+    """
+    reps = int(reps)
+    streams = ReplicationStreams(seed, "evaluate", hypothesis, law.N, n, config.modes)
+    stats = _collect_statistics(
+        law, config, basis, hypothesis, n, reps, streams, standardize_first=standardize_first
+    )
+    return [
+        PowerRow(
+            N=law.N, n=n, m=config.m, modes=config.modes,
+            cutoff_source=source, hypothesis=hypothesis,
+            rejection_rate=int((stats > cutoff).sum()) / reps,
+            reps=reps, seed=int(seed),
+        )
+        for source, cutoff in cutoffs
+    ]
+
+
 def estimate_rejection(
     N: float,
     n: int,
@@ -340,24 +366,11 @@ def estimate_rejection(
         raise ConfigError(f"cutoff must be a positive real, got {cutoff!r}")
     if int(reps) < 1:
         raise ConfigError("reps must be positive")
-    law = FiniteNLaw(N)
-    basis = config.build_basis()
-    streams = ReplicationStreams(seed, "evaluate", hypothesis, N, n, config.modes)
-    stats = _collect_statistics(
-        law, config, basis, hypothesis, n, int(reps), streams, standardize_first=standardize_first
+    (row,) = _evaluate(
+        FiniteNLaw(N), config, config.build_basis(), n, hypothesis, reps, seed,
+        ((cutoff_source, cutoff),), standardize_first=standardize_first,
     )
-    rejections = int((stats > cutoff).sum())
-    return PowerRow(
-        N=N,
-        n=n,
-        m=config.m,
-        modes=config.modes,
-        cutoff_source=cutoff_source,
-        hypothesis=hypothesis,
-        rejection_rate=rejections / int(reps),
-        reps=int(reps),
-        seed=int(seed),
-    )
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -375,20 +388,12 @@ def _grid_cell(args) -> CellResult:
         N=N, n=n, m=m, level=spec.level,
         cutoff=cutoff_cal, reps=spec.calib_reps, seed=spec.master_seed,
     )
+    cutoffs = ((THEORETICAL, cutoff_th), (CALIBRATED, cutoff_cal))
     rows = []
     for hypothesis in (H0, H1):
-        streams = ReplicationStreams(spec.master_seed, "evaluate", hypothesis, N, n, config.modes)
-        stats = _collect_statistics(law, config, basis, hypothesis, n, spec.eval_reps, streams)
-        for source, cutoff in ((THEORETICAL, cutoff_th), (CALIBRATED, cutoff_cal)):
-            rejections = int((stats > cutoff).sum())
-            rows.append(
-                PowerRow(
-                    N=N, n=n, m=m, modes=config.modes,
-                    cutoff_source=source, hypothesis=hypothesis,
-                    rejection_rate=rejections / spec.eval_reps,
-                    reps=spec.eval_reps, seed=spec.master_seed,
-                )
-            )
+        rows += _evaluate(
+            law, config, basis, n, hypothesis, spec.eval_reps, spec.master_seed, cutoffs
+        )
     return CellResult(calibration=entry, rows=tuple(rows))
 
 
@@ -462,20 +467,12 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
 # EDF comparison
 # ----------------------------------------------------------------------
 
-def _standardize_rows(x: np.ndarray) -> np.ndarray:
-    centred = x - x.mean(axis=1, keepdims=True)
-    return centred / np.sqrt((centred * centred).mean(axis=1, keepdims=True))
-
-
 def _compare_stats(law, config, basis, hypothesis, n, reps, streams, standardize_first):
     """Per-replication statistics of all four tests on shared draws."""
     out = {name: np.empty(reps) for name in COMPARE_TESTS}
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        x = _draw_rows(law, hypothesis, n, count, streams, start)
+    for sl, x in _chunks(law, hypothesis, n, reps, streams):
         if standardize_first:
-            x = _standardize_rows(x)
-        sl = slice(start, start + count)
+            x = standardize(x)
         out["stein"][sl] = batch_statistic(x, config, basis)
         ks, cvm, ad = batch_edf_statistics(x, law)
         out["ks"][sl], out["cvm"][sl], out["ad"][sl] = ks, cvm, ad
@@ -521,130 +518,61 @@ def compare_edf(
 
 
 # ----------------------------------------------------------------------
-# Serialisation (CSV with 6 significant digits; JSON mirrors the fields)
+# Serialisation: one CSV column or JSON key per dataclass field, in field
+# order; floats keep 6 significant digits, mode tuples are "4+6" in CSV
+# and [4, 6] in JSON.
 # ----------------------------------------------------------------------
 
-POWER_CSV_HEADER = "N,n,m,modes,cutoff_source,hypothesis,rejection_rate,reps,seed"
-CALIBRATION_CSV_HEADER = "N,n,m,level,cutoff,reps,seed"
-COMPARE_CSV_HEADER = "test_name,n,calibrated_power"
+def _csv_header(record_type) -> str:
+    return ",".join(f.name for f in fields(record_type))
 
 
-def _fmt(value) -> str:
+POWER_CSV_HEADER = _csv_header(PowerRow)
+CALIBRATION_CSV_HEADER = _csv_header(CalibrationEntry)
+COMPARE_CSV_HEADER = _csv_header(CompareRow)
+
+
+def _csv_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".6g")
+    if isinstance(value, tuple):
+        return "+".join(str(int(k)) for k in value)
     return str(value)
 
 
-def format_modes(modes) -> str:
-    return "+".join(str(int(k)) for k in modes)
+def _json_value(value):
+    if isinstance(value, float):
+        return float(format(value, ".6g"))
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
-def parse_modes_field(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split("+"))
-
-
-def power_rows_to_csv(rows) -> str:
-    lines = [POWER_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row.N),
-                    str(row.n),
-                    str(row.m),
-                    format_modes(row.modes),
-                    row.cutoff_source,
-                    row.hypothesis,
-                    _fmt(row.rejection_rate),
-                    str(row.reps),
-                    str(row.seed),
-                )
-            )
-        )
+def records_to_csv(record_type, records) -> str:
+    """CSV text for records of one dataclass type, header line first."""
+    names = [f.name for f in fields(record_type)]
+    lines = [_csv_header(record_type)]
+    lines += [",".join(_csv_value(getattr(r, name)) for name in names) for r in records]
     return "\n".join(lines) + "\n"
 
 
-def calibration_to_csv(table: CalibrationTable) -> str:
-    lines = [CALIBRATION_CSV_HEADER]
-    for entry in table.entries:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(entry.N),
-                    str(entry.n),
-                    str(entry.m),
-                    _fmt(entry.level),
-                    _fmt(entry.cutoff),
-                    str(entry.reps),
-                    str(entry.seed),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+def records_to_json(records) -> list[dict]:
+    """JSON-ready dicts for dataclass records, keys in field order."""
+    return [{f.name: _json_value(getattr(r, f.name)) for f in fields(r)} for r in records]
 
 
 def compare_rows_to_csv(rows) -> str:
-    lines = [COMPARE_CSV_HEADER]
-    for row in rows:
-        lines.append(f"{row.test_name},{row.n},{_fmt(row.calibrated_power)}")
-    return "\n".join(lines) + "\n"
+    return records_to_csv(CompareRow, rows)
 
 
 def grid_result_to_csv(result: GridResult) -> str:
     flag = "true" if result.complete else "false"
-    return power_rows_to_csv(result.rows) + f"# complete={flag}\n"
-
-
-def _round6(value: float) -> float:
-    return float(format(float(value), ".6g"))
-
-
-def power_rows_to_json(rows) -> list[dict]:
-    return [
-        {
-            "N": _round6(row.N),
-            "n": row.n,
-            "m": row.m,
-            "modes": list(row.modes),
-            "cutoff_source": row.cutoff_source,
-            "hypothesis": row.hypothesis,
-            "rejection_rate": _round6(row.rejection_rate),
-            "reps": row.reps,
-            "seed": row.seed,
-        }
-        for row in rows
-    ]
-
-
-def calibration_to_json(table: CalibrationTable) -> list[dict]:
-    return [
-        {
-            "N": _round6(entry.N),
-            "n": entry.n,
-            "m": entry.m,
-            "level": _round6(entry.level),
-            "cutoff": _round6(entry.cutoff),
-            "reps": entry.reps,
-            "seed": entry.seed,
-        }
-        for entry in table.entries
-    ]
-
-
-def compare_rows_to_json(rows) -> list[dict]:
-    return [
-        {
-            "test_name": row.test_name,
-            "n": row.n,
-            "calibrated_power": _round6(row.calibrated_power),
-        }
-        for row in rows
-    ]
+    return records_to_csv(PowerRow, result.rows) + f"# complete={flag}\n"
 
 
 def grid_result_to_json(result: GridResult) -> dict:
     return {
-        "rows": power_rows_to_json(result.rows),
-        "calibration": calibration_to_json(result.calibration),
+        "rows": records_to_json(result.rows),
+        "calibration": records_to_json(result.calibration.entries),
         "complete": result.complete,
     }

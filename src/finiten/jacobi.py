@@ -29,6 +29,7 @@ from . import specfun
 from .errors import ConfigError, DomainError
 
 __all__ = [
+    "jacobi_rows",
     "jacobi_eval_all",
     "jacobi_deriv",
     "jacobi_weight",
@@ -46,50 +47,55 @@ def _validate_alpha(alpha: float, lower: float) -> float:
     return alpha
 
 
-def _eval_all_extended(a: float, k_max: int, yarr: np.ndarray) -> np.ndarray:
-    """Three-term recurrence in extended precision.
-
-    Endpoint magnitudes grow like binom(k + a, k); extended precision
-    keeps the returned values accurate to below one float64 ulp so that
-    algebraic identities between separately computed quantities survive
-    the final downcast.
-    """
-    ya = yarr.astype(np.longdouble)
-    a = np.longdouble(a)
-    out = np.empty((k_max + 1,) + ya.shape, dtype=np.longdouble)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = (a + 1.0) * ya
-    for k in range(1, k_max):
-        out[k + 1] = (
-            (2 * k + 2 * a + 1) * (k + a + 1) * ya * out[k]
-            - (k + a) * (k + a + 1) * out[k - 1]
-        ) / ((k + 1) * (k + 2 * a + 1))
-    return out
-
-
-def _deriv_extended(a: float, k: int, yarr: np.ndarray) -> np.ndarray:
-    if k == 0:
-        return np.zeros(yarr.shape, dtype=np.longdouble)
-    shifted = _eval_all_extended(a + 1.0, k - 1, yarr)[k - 1]
-    return 0.5 * (k + 2.0 * np.longdouble(a) + 1.0) * shifted
-
-
-def _validate_points(y) -> np.ndarray:
-    yarr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(yarr)):
-        raise DomainError("evaluation points must be finite")
-    return yarr
-
-
-def jacobi_eval_all(alpha: float, k_max: int, y):
-    """Evaluate P_0 .. P_{k_max} of the symmetric family at y.
+def jacobi_rows(alpha: float, k_max: int, y: np.ndarray):
+    """Yield P_0 .. P_{k_max} of the symmetric family at y, in the dtype of y.
 
     Three-term recurrence with P_0 = 1 and P_1 = (alpha + 1) y:
 
         (k+1)(k+2a+1) P_{k+1} = (2k+2a+1)(k+a+1) y P_k - (k+a)(k+a+1) P_{k-1}
 
-    y may be a scalar or array; evaluation outside [-1, 1] is permitted
+    alpha is cast to the dtype of y and only two rows are held at a time.
+    """
+    a = y.dtype.type(alpha)
+    p_prev = np.ones_like(y)
+    yield p_prev
+    if k_max < 1:
+        return
+    p_cur = (a + 1.0) * y
+    yield p_cur
+    for k in range(1, k_max):
+        p_prev, p_cur = p_cur, (
+            (2 * k + 2 * a + 1) * (k + a + 1) * y * p_cur
+            - (k + a) * (k + a + 1) * p_prev
+        ) / ((k + 1) * (k + 2 * a + 1))
+        yield p_cur
+
+
+def _last_row(alpha: float, k: int, y: np.ndarray) -> np.ndarray:
+    for row in jacobi_rows(alpha, k, y):
+        pass
+    return row
+
+
+def _deriv_extended(a: float, k: int, ya: np.ndarray) -> np.ndarray:
+    if k == 0:
+        return np.zeros(ya.shape, dtype=np.longdouble)
+    return 0.5 * (k + 2.0 * np.longdouble(a) + 1.0) * _last_row(a + 1.0, k - 1, ya)
+
+
+def _validate_points(y) -> np.ndarray:
+    """Finite evaluation points, widened to extended precision."""
+    yarr = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(yarr)):
+        raise DomainError("evaluation points must be finite")
+    return yarr.astype(np.longdouble)
+
+
+def jacobi_eval_all(alpha: float, k_max: int, y):
+    """Evaluate P_0 .. P_{k_max} of the symmetric family at y.
+
+    Runs the recurrence of :func:`jacobi_rows` in extended precision. y
+    may be a scalar or array; evaluation outside [-1, 1] is permitted
     since the polynomials are globally defined. Returns an array of shape
     (k_max + 1,) + shape(y) in extended precision (cast down if you need
     compact storage); endpoint magnitudes grow like binom(k + a, k), so
@@ -99,8 +105,7 @@ def jacobi_eval_all(alpha: float, k_max: int, y):
     a = _validate_alpha(alpha, -1.0)
     if int(k_max) != k_max or k_max < 0:
         raise DomainError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    yarr = _validate_points(y)
-    return _eval_all_extended(a, int(k_max), yarr)
+    return np.stack(list(jacobi_rows(a, int(k_max), _validate_points(y))))
 
 
 def jacobi_deriv(alpha: float, k: int, y):
@@ -108,8 +113,7 @@ def jacobi_deriv(alpha: float, k: int, y):
     a = _validate_alpha(alpha, -1.0)
     if int(k) != k or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    yarr = _validate_points(y)
-    out = _deriv_extended(a, int(k), yarr)
+    out = _deriv_extended(a, int(k), _validate_points(y))
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -171,10 +175,9 @@ def stein_apply_rescaled(alpha: float, k: int, y):
     if int(k) != k or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
     k = int(k)
-    yarr = _validate_points(y)
-    ya = yarr.astype(np.longdouble)
-    g = _eval_all_extended(a + 1.0, k - 1, yarr)[k - 1]
-    g_prime = _deriv_extended(a + 1.0, k - 1, yarr)
+    ya = _validate_points(y)
+    g = _last_row(a + 1.0, k - 1, ya)
+    g_prime = _deriv_extended(a + 1.0, k - 1, ya)
     out = (1.0 - ya * ya) * g_prime - 2.0 * (np.longdouble(a) + 1.0) * ya * g
     if np.ndim(y) == 0:
         return float(out)

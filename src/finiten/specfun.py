@@ -17,8 +17,6 @@ from .errors import DomainError
 __all__ = [
     "log_gamma",
     "digamma",
-    "reg_inc_beta",
-    "reg_inc_gamma_lower",
     "chi2_quantile",
     "chi2_sf",
 ]
@@ -40,37 +38,11 @@ def digamma(x: float) -> float:
     return float(_sp.digamma(x))
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularised incomplete beta function I_x(a, b).
-
-    Monotone nondecreasing in x, with I_0 = 0 and I_1 = 1. The symmetric
-    case is pinned exactly: I_0.5(a, a) = 0.5.
-    """
-    a, b, x = float(a), float(b), float(x)
-    if not (math.isfinite(a) and a > 0.0) or not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    if not math.isfinite(x) or x < 0.0 or x > 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
-    if x == 0.5 and a == b:
-        return 0.5
-    return float(_sp.betainc(a, b, x))
-
-
-def reg_inc_gamma_lower(s: float, x: float) -> float:
-    """Regularised lower incomplete gamma function P(s, x) for s > 0, x >= 0."""
-    s, x = float(s), float(x)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"reg_inc_gamma_lower requires s > 0, got {s!r}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got {x!r}")
-    return float(_sp.gammainc(s, x))
-
-
 def chi2_quantile(d: int, p: float) -> float:
     """Quantile of the chi-squared law with d degrees of freedom.
 
-    Returns q such that reg_inc_gamma_lower(d/2, q/2) == p; strictly
-    increasing in both p and d.
+    Returns q such that P(d/2, q/2) == p, where P is the regularised
+    lower incomplete gamma function; strictly increasing in both p and d.
     """
     if int(d) != d or d < 1:
         raise DomainError(f"chi2_quantile requires integer d >= 1, got {d!r}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError, DegenerateSampleError, DomainError
-from .jacobi import JacobiBasis
+from .jacobi import JacobiBasis, jacobi_rows
 
 __all__ = [
     "even_modes",
@@ -107,6 +107,8 @@ class SteinTestConfig:
 class TestReport:
     """Outcome of one test run; serialises with exactly these field names."""
 
+    __test__ = False  # a result record, not a pytest test class
+
     statistic: float
     coefficients: dict[int, float]
     dof: int
@@ -128,17 +130,19 @@ class TestReport:
 def standardize(values) -> np.ndarray:
     """Affine-map a sample to zero mean and unit mean square (divisor n).
 
-    Idempotent and invariant under positive affine rescaling of the
-    input. Raises DegenerateSampleError for constant samples.
+    Takes one sample of shape (n,) or a (reps, n) matrix with one sample
+    per row, and works along the last axis. Idempotent and invariant
+    under positive affine rescaling of each sample. Raises
+    DegenerateSampleError if any sample is constant.
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise DomainError("standardize requires a 1-D sample with n >= 2")
+    if x.ndim not in (1, 2) or x.shape[-1] < 2:
+        raise DomainError("standardize requires an (n,) or (reps, n) sample with n >= 2")
     if not np.all(np.isfinite(x)):
         raise DomainError("sample values must be finite")
-    centred = x - x.mean()
-    scale = math.sqrt(float((centred * centred).mean()))
-    if scale == 0.0:
+    centred = x - x.mean(axis=-1, keepdims=True)
+    scale = np.sqrt((centred * centred).mean(axis=-1, keepdims=True))
+    if np.any(scale == 0.0):
         raise DegenerateSampleError("sample is constant; no scale information")
     return centred / scale
 
@@ -166,25 +170,15 @@ def _validate_sample(values) -> np.ndarray:
 def _mode_sums(y: np.ndarray, modes, basis: JacobiBasis) -> dict[int, np.ndarray]:
     """Sum of psi_k over the last axis of y, for each requested mode.
 
-    Runs the three-term recurrence once up to the largest mode, keeping
-    only two polynomial rows in memory; y may be (n,) or (reps, n).
+    Runs the recurrence once up to the largest mode in float64; y may be
+    (n,) or (reps, n).
     """
-    a = basis.alpha
-    k_max = max(modes)
     wanted = frozenset(modes)
-    sums: dict[int, np.ndarray] = {}
-    p_prev = np.ones_like(y)
-    p_cur = (a + 1.0) * y
-    for k in range(1, k_max + 1):
-        if k in wanted:
-            sums[k] = (-(2.0 * k / basis.sigmas[k - 1]) * p_cur).sum(axis=-1)
-        if k < k_max:
-            p_next = (
-                (2 * k + 2 * a + 1) * (k + a + 1) * y * p_cur
-                - (k + a) * (k + a + 1) * p_prev
-            ) / ((k + 1) * (k + 2 * a + 1))
-            p_prev, p_cur = p_cur, p_next
-    return sums
+    return {
+        k: (-(2.0 * k / basis.sigmas[k - 1]) * p).sum(axis=-1)
+        for k, p in enumerate(jacobi_rows(basis.alpha, max(modes), y))
+        if k in wanted
+    }
 
 
 def coefficients(values, config: SteinTestConfig, basis: JacobiBasis) -> dict[int, float]:
@@ -225,11 +219,7 @@ def batch_statistic(
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_statistic expects a (reps, n) matrix")
     if standardize_first:
-        centred = x - x.mean(axis=1, keepdims=True)
-        scale = np.sqrt((centred * centred).mean(axis=1, keepdims=True))
-        if np.any(scale == 0.0):
-            raise DegenerateSampleError("a replication is constant")
-        x = centred / scale
+        x = standardize(x)
     y = x / math.sqrt(config.N)
     n = x.shape[1]
     sums = _mode_sums(y, config.modes, basis)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,20 +13,21 @@ from finiten.harness import (
     THEORETICAL,
     CalibrationEntry,
     CalibrationTable,
+    CompareRow,
+    GridResult,
     GridSpec,
     PowerRow,
     ReplicationStreams,
     calibrate,
-    calibration_to_csv,
     compare_edf,
     compare_rows_to_csv,
     empirical_cutoff,
     estimate_rejection,
-    format_modes,
     grid_result_to_csv,
-    parse_modes_field,
+    grid_result_to_json,
     power_boundary,
-    power_rows_to_csv,
+    records_to_csv,
+    records_to_json,
     run_grid,
     sanov_table,
     _compare_stats,
@@ -172,7 +174,9 @@ def test_run_grid_worker_count_invariance():
     serial = run_grid(spec, workers=1)
     parallel = run_grid(spec, workers=2)
     assert grid_result_to_csv(serial) == grid_result_to_csv(parallel)
-    assert calibration_to_csv(serial.calibration) == calibration_to_csv(parallel.calibration)
+    assert records_to_csv(CalibrationEntry, serial.calibration.entries) == records_to_csv(
+        CalibrationEntry, parallel.calibration.entries
+    )
     assert serial.rows == parallel.rows
 
 
@@ -253,7 +257,7 @@ def test_power_row_csv_round_trip():
         PowerRow(N=12.5, n=250, m=6, modes=(4, 6), cutoff_source=CALIBRATED,
                  hypothesis=H1, rejection_rate=0.8875, reps=2000, seed=9),
     )
-    text = power_rows_to_csv(rows)
+    text = records_to_csv(PowerRow, rows)
     lines = text.strip().split("\n")
     assert lines[0] == "N,n,m,modes,cutoff_source,hypothesis,rejection_rate,reps,seed"
     parsed = []
@@ -261,22 +265,20 @@ def test_power_row_csv_round_trip():
         N, n, m, modes, source, hyp, rate, reps, seed = line.split(",")
         parsed.append(
             PowerRow(
-                N=float(N), n=int(n), m=int(m), modes=parse_modes_field(modes),
+                N=float(N), n=int(n), m=int(m), modes=tuple(int(k) for k in modes.split("+")),
                 cutoff_source=source, hypothesis=hyp, rejection_rate=float(rate),
                 reps=int(reps), seed=int(seed),
             )
         )
-    assert power_rows_to_csv(parsed) == text
+    assert records_to_csv(PowerRow, parsed) == text
     assert parsed[0] == rows[0]  # 6 significant digits preserve these rates exactly
-    assert format_modes((4, 6, 8)) == "4+6+8"
-    assert parse_modes_field("4+6+8") == (4, 6, 8)
 
 
 def test_calibration_csv_round_trip():
     table = CalibrationTable(
         (CalibrationEntry(N=5.0, n=100, m=4, level=0.05, cutoff=3.84146, reps=50000, seed=1),)
     )
-    text = calibration_to_csv(table)
+    text = records_to_csv(CalibrationEntry, table.entries)
     lines = text.strip().split("\n")
     assert lines[0] == "N,n,m,level,cutoff,reps,seed"
     fields = lines[1].split(",")
@@ -289,7 +291,7 @@ def test_calibration_csv_round_trip():
             ),
         )
     )
-    assert calibration_to_csv(rebuilt) == text
+    assert records_to_csv(CalibrationEntry, rebuilt.entries) == text
     assert table.lookup(5.0, 100, 4).cutoff == 3.84146
     with pytest.raises(KeyError):
         table.lookup(6.0, 100, 4)
@@ -300,6 +302,37 @@ def test_compare_rows_csv_schema():
     text = compare_rows_to_csv(rows)
     assert text.startswith("test_name,n,calibrated_power\n")
     assert "stein,50," in text
+
+
+def test_record_serialisation_bytes():
+    power = (
+        PowerRow(N=12.5, n=250, m=6, modes=(4, 6), cutoff_source=CALIBRATED,
+                 hypothesis=H1, rejection_rate=2 / 3, reps=3000, seed=9),
+    )
+    entry = CalibrationEntry(N=5.0, n=100, m=4, level=0.05, cutoff=3.841458820694124,
+                             reps=50000, seed=1)
+    compare = (CompareRow(test_name="ad", n=50, calibrated_power=0.123456789),)
+    result = GridResult(rows=power, calibration=CalibrationTable((entry,)), complete=False)
+    assert grid_result_to_csv(result) == (
+        "N,n,m,modes,cutoff_source,hypothesis,rejection_rate,reps,seed\n"
+        "12.5,250,6,4+6,calibrated,h1,0.666667,3000,9\n"
+        "# complete=false\n"
+    )
+    assert records_to_csv(CalibrationEntry, [entry]) == (
+        "N,n,m,level,cutoff,reps,seed\n5,100,4,0.05,3.84146,50000,1\n"
+    )
+    assert compare_rows_to_csv(compare) == "test_name,n,calibrated_power\nad,50,0.123457\n"
+    assert records_to_csv(CompareRow, []) == "test_name,n,calibrated_power\n"
+    assert json.dumps(grid_result_to_json(result)) == (
+        '{"rows": [{"N": 12.5, "n": 250, "m": 6, "modes": [4, 6], '
+        '"cutoff_source": "calibrated", "hypothesis": "h1", '
+        '"rejection_rate": 0.666667, "reps": 3000, "seed": 9}], '
+        '"calibration": [{"N": 5.0, "n": 100, "m": 4, "level": 0.05, '
+        '"cutoff": 3.84146, "reps": 50000, "seed": 1}], "complete": false}'
+    )
+    assert json.dumps(records_to_json(compare)) == (
+        '[{"test_name": "ad", "n": 50, "calibrated_power": 0.123457}]'
+    )
 
 
 def test_desk_scale_grid_matches_reference_power():

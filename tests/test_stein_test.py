@@ -89,6 +89,33 @@ def test_standardize_two_points_and_errors():
         standardize(np.array([1.0, math.nan]))
 
 
+def test_standardize_matrix_matches_rows():
+    rng = np.random.default_rng(2)
+    x = rng.normal(1.0, 3.0, size=(7, 50))
+    z = standardize(x)
+    for j in range(x.shape[0]):
+        assert np.array_equal(z[j], standardize(x[j]))
+    x[4] = 2.5
+    with pytest.raises(DegenerateSampleError):
+        standardize(x)
+    with pytest.raises(DomainError):
+        standardize(x[:, :1])
+
+
+@pytest.mark.parametrize("N", [3.5, 4.001, 5.0, 20.0, 1e4, 1e8])
+def test_float64_coefficients_match_extended_psi(N):
+    # the float64 recurrence behind coefficients against the long-double
+    # one behind psi, for single-point samples across the support
+    m = 30
+    config = SteinTestConfig(N=N, m=m, modes=tuple(range(1, m + 1)))
+    basis = config.build_basis()
+    x = math.sqrt(N) * np.linspace(-1.0, 1.0, 41)
+    psi = np.array([basis.psi(k, x / math.sqrt(N)) for k in range(1, m + 1)])
+    coef = np.array([list(coefficients([xi], config, basis).values()) for xi in x]).T
+    scale = np.abs(psi).max(axis=1, keepdims=True)
+    assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
+
+
 def test_coefficients_parity_and_single_point():
     basis = JacobiBasis.for_system(5.0, 4)
     config = SteinTestConfig(N=5, m=4, modes=(1, 3))
