@@ -11,6 +11,8 @@ entropy and echoed to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -220,9 +222,7 @@ def _cmd_test(args) -> int:
             args.N, len(values), config, args.reps, seed,
             standardize_first=args.standardize,
         )
-        config = SteinTestConfig(
-            N=args.N, m=args.m, modes=modes, level=args.level, cutoff=cutoff
-        )
+        config = dataclasses.replace(config, cutoff=cutoff)
     elif cutoff_arg != "theoretical":
         try:
             explicit = float(cutoff_arg)
@@ -230,9 +230,7 @@ def _cmd_test(args) -> int:
             raise FiniteNError(
                 f"--cutoff must be 'theoretical', 'calibrated', or a number, got {cutoff_arg!r}"
             )
-        config = SteinTestConfig(
-            N=args.N, m=args.m, modes=modes, level=args.level, cutoff=explicit
-        )
+        config = dataclasses.replace(config, cutoff=explicit)
 
     report = run_test(values, config, standardize_first=args.standardize)
 
@@ -326,8 +324,15 @@ def _cmd_grid(args) -> int:
     if not args.full_reps:
         overrides.update(calib_reps=args.calib_reps, eval_reps=args.eval_reps)
     spec = harness.GridSpec(level=args.level, master_seed=seed, **overrides)
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    result = harness.run_grid(spec, workers=args.workers, progress=progress)
+    total = len(spec.cells())
+    done = itertools.count(1)
+
+    def report(cell):
+        entry = cell.calibration
+        print(f"cell {next(done)}/{total} (N={entry.N:g}, n={entry.n}, m={entry.m}) done",
+              file=sys.stderr)
+
+    result = harness.run_grid(spec, workers=args.workers, on_cell=None if args.quiet else report)
     if args.format == "json":
         text = json.dumps(harness.grid_result_to_json(result)) + "\n"
     else:

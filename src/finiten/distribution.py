@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from . import specfun
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_N
 
 __all__ = ["FiniteNLaw"]
 
@@ -30,13 +29,6 @@ def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _validate_points(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("evaluation points must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -54,16 +46,12 @@ class FiniteNLaw:
     log_norm: float = field(init=False)
 
     def __post_init__(self):
-        N = float(self.N)
-        if not math.isfinite(N) or N <= 3.0:
-            raise DomainError(f"N must be a finite real > 3, got {self.N!r}")
+        N = check_N(self.N)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "alpha", (N - 3.0) / 2.0)
         object.__setattr__(self, "support_bound", math.sqrt(N))
-        log_norm = (
-            specfun.log_gamma(N / 2.0)
-            - 0.5 * math.log(N * math.pi)
-            - specfun.log_gamma((N - 1.0) / 2.0)
+        log_norm = float(
+            _sp.gammaln(N / 2.0) - 0.5 * math.log(N * math.pi) - _sp.gammaln((N - 1.0) / 2.0)
         )
         object.__setattr__(self, "log_norm", log_norm)
 
@@ -74,7 +62,7 @@ class FiniteNLaw:
 
     def log_density(self, x):
         """Log density at x; -inf outside the open support."""
-        arr = _validate_points(x)
+        arr = check_finite(x, "evaluation points")
         inside = 1.0 - (arr * arr) / self.N
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
@@ -92,7 +80,7 @@ class FiniteNLaw:
 
     def cdf(self, x):
         """Distribution function, clamped to 0 / 1 outside the support."""
-        arr = _validate_points(x)
+        arr = check_finite(x, "evaluation points")
         z = np.clip((1.0 + arr / self.support_bound) / 2.0, 0.0, 1.0)
         a = self._beta_shape
         out = _sp.betainc(a, a, z)
@@ -122,7 +110,7 @@ class FiniteNLaw:
         rejection-free and valid for every N > 3. Deterministic given the
         seed (an int, SeedSequence, or Generator).
         """
-        n = self._validate_count(n)
+        n = self._check_size(n, 1)
         rng = _as_rng(seed)
         a = self._beta_shape
         b = rng.beta(a, a, size=n)
@@ -135,19 +123,19 @@ class FiniteNLaw:
         shared rescaling y = x / sqrt(N) applies uniformly; values may
         exceed sqrt(N).
         """
-        n = self._validate_count(n)
+        n = self._check_size(n, 1)
         return _as_rng(seed).standard_normal(n)
 
     @staticmethod
-    def _validate_count(n: int) -> int:
-        if int(n) != n or n < 1:
-            raise DomainError(f"sample size must be a positive integer, got {n!r}")
+    def _check_size(n: int, minimum: int) -> int:
+        if int(n) != n or n < minimum:
+            raise DomainError(f"sample size must be an integer >= {minimum}, got {n!r}")
         return int(n)
 
     def log_likelihood(self, values) -> float:
         """Joint log likelihood of an i.i.d. sample; -inf if any point is
         outside the open support."""
-        arr = _validate_points(values)
+        arr = check_finite(values, "sample values")
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("log_likelihood requires a nonempty 1-D sample")
         inside = 1.0 - (arr * arr) / self.N
@@ -162,13 +150,13 @@ class FiniteNLaw:
         - psi(N/2)). Strictly positive, decreasing toward 0 as N grows.
         """
         half = self.N / 2.0
-        dpsi = specfun.digamma(half - 0.5) - specfun.digamma(half)
-        return self.log_norm + 0.5 * (1.0 + math.log(2.0 * math.pi)) + self.alpha * dpsi
+        dpsi = _sp.digamma(half - 0.5) - _sp.digamma(half)
+        return float(self.log_norm + 0.5 * (1.0 + math.log(2.0 * math.pi)) + self.alpha * dpsi)
 
     def typical_likelihood_ratio(self, n: int) -> float:
         """Likelihood ratio in favour of the Gaussian on a typical sample
         of size n, equal to exp(-n * KL)."""
-        n = self._validate_reps(n)
+        n = self._check_size(n, 0)
         return math.exp(-n * self.kl_to_gaussian())
 
     def log_typical_ratio_per_obs(self) -> float:
@@ -176,22 +164,16 @@ class FiniteNLaw:
         explicit Gamma/digamma bracket (an independent route that must
         equal -KL)."""
         half = self.N / 2.0
-        dpsi = specfun.digamma(half - 0.5) - specfun.digamma(half)
-        return (
+        dpsi = _sp.digamma(half - 0.5) - _sp.digamma(half)
+        return float(
             0.5 * math.log(self.N / (2.0 * math.e))
-            + specfun.log_gamma(half - 0.5)
-            - specfun.log_gamma(half)
+            + _sp.gammaln(half - 0.5)
+            - _sp.gammaln(half)
             - self.alpha * dpsi
         )
 
     def sanov_power_proxy(self, n: int) -> float:
         """Large-deviation benchmark for achievable test power at sample
         size n: 1 - exp(-n * KL). Increasing in n, decreasing in N."""
-        n = self._validate_reps(n)
+        n = self._check_size(n, 0)
         return -math.expm1(-n * self.kl_to_gaussian())
-
-    @staticmethod
-    def _validate_reps(n: int) -> int:
-        if int(n) != n or n < 0:
-            raise DomainError(f"sample size must be a nonnegative integer, got {n!r}")
-        return int(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 __all__ = ["EdfStatistics", "edf_statistics", "batch_edf_statistics"]
 
@@ -44,11 +44,9 @@ def edf_statistics(values, law) -> EdfStatistics:
     (standardised data), calibrate critical values under the null with
     the identical treatment.
     """
-    x = np.asarray(values, dtype=float)
+    x = check_finite(values, "sample values")
     if x.ndim != 1 or x.size < 1:
         raise DomainError("edf_statistics requires a nonempty 1-D sample")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample values must be finite")
     ks, cvm, ad = batch_edf_statistics(x[None, :], law)
     return EdfStatistics(ks=float(ks[0]), cvm=float(cvm[0]), ad=float(ad[0]))
 

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package.
+
+Each input quantity has one check here, called by every entry point
+that takes it.
+"""
+
+import math
+
+import numpy as np
 
 
 class FiniteNError(Exception):
@@ -15,3 +23,34 @@ class DegenerateSampleError(FiniteNError, ValueError):
 
 class ConfigError(FiniteNError, ValueError):
     """Inconsistent or unsupported configuration."""
+
+
+def check_N(N) -> float:
+    """Effective particle number as a float; DomainError unless finite and > 3."""
+    value = float(N)
+    if not math.isfinite(value) or value <= 3.0:
+        raise DomainError(f"N must be a finite real > 3, got {N!r}")
+    return value
+
+
+def check_int(value, what: str, minimum: int) -> int:
+    """An integral count as an int; ConfigError if fractional or below minimum."""
+    if not float(value).is_integer() or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_level(level) -> float:
+    """Test level as a float; ConfigError unless it lies in (0, 1)."""
+    value = float(level)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"level must lie in (0, 1), got {level!r}")
+    return value
+
+
+def check_finite(values, what: str) -> np.ndarray:
+    """values as a float array; DomainError if any entry is nan or infinite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    return arr

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distribution import FiniteNLaw
 from .edf import batch_edf_statistics
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int, check_level, check_N
 from .stein_test import SteinTestConfig, batch_statistic, standardize
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "compare_edf",
     "COMPARE_TESTS",
     "POWER_CSV_HEADER",
-    "CALIBRATION_CSV_HEADER",
     "COMPARE_CSV_HEADER",
     "records_to_csv",
     "records_to_json",
@@ -65,6 +64,7 @@ CALIBRATED = "calibrated"
 COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 
 _CHUNK = 512
+_MIN_CALIB_REPS = 1000
 
 
 # ----------------------------------------------------------------------
@@ -198,21 +198,18 @@ class GridSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.N_values or any(not (float(N) > 3.0) for N in self.N_values):
-            raise ConfigError("N_values must be nonempty with every N > 3")
-        if not self.n_values or any(int(n) < 1 for n in self.n_values):
-            raise ConfigError("n_values must be nonempty positive integers")
-        if not self.m_values or any(int(m) < 4 for m in self.m_values):
-            raise ConfigError("m_values must be nonempty integers >= 4")
-        if not 0.0 < float(self.level) < 1.0:
-            raise ConfigError(f"level must lie in (0, 1), got {self.level!r}")
-        if int(self.calib_reps) < 1000:
-            raise ConfigError("calib_reps must be at least 1000")
-        if int(self.eval_reps) < 1:
-            raise ConfigError("eval_reps must be positive")
-        object.__setattr__(self, "N_values", tuple(float(N) for N in self.N_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        if not (self.N_values and self.n_values and self.m_values):
+            raise ConfigError("N_values, n_values and m_values must be nonempty")
+        checked = {
+            "N_values": tuple(check_N(N) for N in self.N_values),
+            "n_values": tuple(check_int(n, "sample size", 1) for n in self.n_values),
+            "m_values": tuple(check_int(m, "truncation order", 4) for m in self.m_values),
+            "level": check_level(self.level),
+            "calib_reps": check_int(self.calib_reps, "calib_reps", _MIN_CALIB_REPS),
+            "eval_reps": check_int(self.eval_reps, "eval_reps", 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def desk_scale(self) -> "GridSpec":
         """Same grid with replication counts sized for a desk run."""
@@ -244,23 +241,28 @@ def _draw_rows(law, hypothesis, n, count, streams, offset) -> np.ndarray:
     return x
 
 
-def _chunks(law, hypothesis, n, reps, streams):
+def _chunks(law, hypothesis, n, reps, streams, standardize_first):
     """Yield (slice, draws) for replications 0..reps-1 in bounded chunks.
 
-    The draws are yielded straight from :func:`_draw_rows`, so this frame
-    holds no reference to them while the caller transforms them.
+    This is the one place that decides whether simulated draws are
+    standardised. The raw draws are never bound to a name here, so no
+    frame keeps them alive beside their standardised copy.
     """
     for start in range(0, reps, _CHUNK):
         count = min(_CHUNK, reps - start)
-        yield slice(start, start + count), _draw_rows(law, hypothesis, n, count, streams, start)
+        rows = slice(start, start + count)
+        if standardize_first:
+            yield rows, standardize(_draw_rows(law, hypothesis, n, count, streams, start))
+        else:
+            yield rows, _draw_rows(law, hypothesis, n, count, streams, start)
 
 
 def _collect_statistics(
     law, config, basis, hypothesis, n, reps, streams, standardize_first=False
 ) -> np.ndarray:
     out = np.empty(reps)
-    for sl, x in _chunks(law, hypothesis, n, reps, streams):
-        out[sl] = batch_statistic(x, config, basis, standardize_first=standardize_first)
+    for sl, x in _chunks(law, hypothesis, n, reps, streams, standardize_first):
+        out[sl] = batch_statistic(x, config, basis)
     return out
 
 
@@ -271,9 +273,7 @@ def empirical_cutoff(stats, level: float) -> float:
     r = values.size
     if r < 1:
         raise DomainError("need at least one statistic")
-    if not 0.0 < float(level) < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level!r}")
-    rank = min(math.ceil((1.0 - float(level)) * (r + 1)), r)
+    rank = min(math.ceil((1.0 - check_level(level)) * (r + 1)), r)
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
@@ -281,9 +281,7 @@ def _check_cell_args(N: float, n: int, config: SteinTestConfig) -> tuple[float, 
     N = float(N)
     if config.N != N:
         raise ConfigError(f"config is for N={config.N}, cell requested N={N}")
-    if int(n) != n or n < 1:
-        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    return N, int(n)
+    return N, check_int(n, "sample size", 1)
 
 
 def calibrate(
@@ -303,30 +301,22 @@ def calibrate(
     off because simulation draws are aligned by construction.
     """
     N, n = _check_cell_args(N, n, config)
-    if int(reps) < 1000:
-        raise ConfigError(f"calibration requires at least 1000 replications, got {reps!r}")
+    reps = check_int(reps, "calibration replications", _MIN_CALIB_REPS)
     law = FiniteNLaw(N)
     basis = config.build_basis()
     streams = ReplicationStreams(seed, "calibrate", N, n, config.modes)
-    stats = _collect_statistics(
-        law, config, basis, H0, n, int(reps), streams, standardize_first=standardize_first
-    )
+    stats = _collect_statistics(law, config, basis, H0, n, reps, streams, standardize_first)
     return empirical_cutoff(stats, config.level)
 
 
-def _evaluate(
-    law, config, basis, n, hypothesis, reps, seed, cutoffs, standardize_first=False
-) -> list[PowerRow]:
+def _evaluate(law, config, basis, n, hypothesis, reps, seed, cutoffs) -> list[PowerRow]:
     """One PowerRow per (cutoff_source, cutoff) pair in ``cutoffs``.
 
     The hypothesis's statistics are drawn once, from the cell's
     "evaluate" streams, and compared against every cutoff.
     """
-    reps = int(reps)
     streams = ReplicationStreams(seed, "evaluate", hypothesis, law.N, n, config.modes)
-    stats = _collect_statistics(
-        law, config, basis, hypothesis, n, reps, streams, standardize_first=standardize_first
-    )
+    stats = _collect_statistics(law, config, basis, hypothesis, n, reps, streams)
     return [
         PowerRow(
             N=law.N, n=n, m=config.m, modes=config.modes,
@@ -347,15 +337,12 @@ def estimate_rejection(
     reps: int,
     seed: int,
     cutoff_source: str = CALIBRATED,
-    standardize_first: bool = False,
 ) -> PowerRow:
     """Fraction of replications whose statistic exceeds the cutoff.
 
     Null replications come from the exact law, alternative replications
     from the standard Gaussian; both are already location/scale aligned
-    by construction, so by default the statistic is evaluated on the raw
-    draws. Pair any ``standardize_first`` choice with a cutoff calibrated
-    the same way.
+    by construction, so the statistic is evaluated on the raw draws.
     """
     N, n = _check_cell_args(N, n, config)
     hypothesis = _normalize_hypothesis(hypothesis)
@@ -364,11 +351,10 @@ def estimate_rejection(
     cutoff = float(cutoff)
     if not math.isfinite(cutoff) or cutoff <= 0.0:
         raise ConfigError(f"cutoff must be a positive real, got {cutoff!r}")
-    if int(reps) < 1:
-        raise ConfigError("reps must be positive")
+    reps = check_int(reps, "reps", 1)
     (row,) = _evaluate(
         FiniteNLaw(N), config, config.build_basis(), n, hypothesis, reps, seed,
-        ((cutoff_source, cutoff),), standardize_first=standardize_first,
+        ((cutoff_source, cutoff),),
     )
     return row
 
@@ -397,28 +383,25 @@ def _grid_cell(args) -> CellResult:
     return CellResult(calibration=entry, rows=tuple(rows))
 
 
-def run_grid(spec: GridSpec, workers: int = 1, on_cell=None, progress=None) -> GridResult:
+def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     """Run every (N, n, m) cell of the grid.
 
-    Cells execute independently (optionally across ``workers`` processes)
-    and are reduced in deterministic cell order. ``on_cell`` receives each
-    CellResult as it becomes available; ``progress`` receives short status
-    strings. Interruption or memory exhaustion yields a truncated but
-    valid result with ``complete=False``.
+    Cells execute independently (across at most ``workers`` processes,
+    never more than there are cells) and are reduced in deterministic
+    cell order. ``on_cell`` receives each CellResult in that order as it
+    becomes available. Interruption or memory exhaustion yields a
+    truncated but valid result with ``complete=False``.
     """
     cells = spec.cells()
-    total = len(cells)
+    workers = min(workers, len(cells))
     results: list[CellResult] = []
     complete = True
 
     def _consume(iterator):
-        for index, result in enumerate(iterator):
+        for result in iterator:
             results.append(result)
             if on_cell is not None:
                 on_cell(result)
-            if progress is not None:
-                N, n, m = cells[index]
-                progress(f"cell {index + 1}/{total} (N={N:g}, n={n}, m={m}) done")
 
     try:
         if workers <= 1:
@@ -444,10 +427,7 @@ def sanov_table(N_values, n_values) -> np.ndarray:
     Rows follow N_values, columns follow n_values; fully deterministic.
     """
     laws = [FiniteNLaw(N) for N in N_values]
-    n_list = [int(n) for n in n_values]
-    if any(n < 0 for n in n_list):
-        raise DomainError("sample sizes must be nonnegative")
-    return np.array([[law.sanov_power_proxy(n) for n in n_list] for law in laws])
+    return np.array([[law.sanov_power_proxy(n) for n in n_values] for law in laws])
 
 
 def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
@@ -470,9 +450,7 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
 def _compare_stats(law, config, basis, hypothesis, n, reps, streams, standardize_first):
     """Per-replication statistics of all four tests on shared draws."""
     out = {name: np.empty(reps) for name in COMPARE_TESTS}
-    for sl, x in _chunks(law, hypothesis, n, reps, streams):
-        if standardize_first:
-            x = standardize(x)
+    for sl, x in _chunks(law, hypothesis, n, reps, streams, standardize_first):
         out["stein"][sl] = batch_statistic(x, config, basis)
         ks, cvm, ad = batch_edf_statistics(x, law)
         out["ks"][sl], out["cvm"][sl], out["ad"][sl] = ks, cvm, ad
@@ -496,20 +474,16 @@ def compare_edf(
     fair by construction.
     """
     config = SteinTestConfig(N=N, m=m, level=level)
-    if int(reps) < 1000:
-        raise ConfigError(f"comparison requires at least 1000 replications, got {reps!r}")
-    reps = int(reps)
-    law = FiniteNLaw(float(N))
+    reps = check_int(reps, "comparison replications", _MIN_CALIB_REPS)
+    n_values = [check_int(n, "comparison sample size", 2) for n in n_values]
+    law = FiniteNLaw(config.N)
     basis = config.build_basis()
     rows: list[CompareRow] = []
     for n in n_values:
-        n = int(n)
-        if n < 2:
-            raise ConfigError("comparison requires n >= 2")
-        cal_streams = ReplicationStreams(seed, "compare-calibrate", float(N), n, config.modes)
+        cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n, config.modes)
         null_stats = _compare_stats(law, config, basis, H0, n, reps, cal_streams, standardize_first)
         cutoffs = {name: empirical_cutoff(null_stats[name], level) for name in COMPARE_TESTS}
-        eval_streams = ReplicationStreams(seed, "compare-evaluate", float(N), n, config.modes)
+        eval_streams = ReplicationStreams(seed, "compare-evaluate", config.N, n, config.modes)
         alt_stats = _compare_stats(law, config, basis, H1, n, reps, eval_streams, standardize_first)
         for name in COMPARE_TESTS:
             rejections = int((alt_stats[name] > cutoffs[name]).sum())
@@ -528,7 +502,6 @@ def _csv_header(record_type) -> str:
 
 
 POWER_CSV_HEADER = _csv_header(PowerRow)
-CALIBRATION_CSV_HEADER = _csv_header(CalibrationEntry)
 COMPARE_CSV_HEADER = _csv_header(CompareRow)
 
 

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
-from . import specfun
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_finite, check_N
 
 __all__ = [
     "jacobi_rows",
@@ -83,14 +83,6 @@ def _deriv_extended(a: float, k: int, ya: np.ndarray) -> np.ndarray:
     return 0.5 * (k + 2.0 * np.longdouble(a) + 1.0) * _last_row(a + 1.0, k - 1, ya)
 
 
-def _validate_points(y) -> np.ndarray:
-    """Finite evaluation points, widened to extended precision."""
-    yarr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(yarr)):
-        raise DomainError("evaluation points must be finite")
-    return yarr.astype(np.longdouble)
-
-
 def jacobi_eval_all(alpha: float, k_max: int, y):
     """Evaluate P_0 .. P_{k_max} of the symmetric family at y.
 
@@ -105,7 +97,8 @@ def jacobi_eval_all(alpha: float, k_max: int, y):
     a = _validate_alpha(alpha, -1.0)
     if int(k_max) != k_max or k_max < 0:
         raise DomainError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    return np.stack(list(jacobi_rows(a, int(k_max), _validate_points(y))))
+    ya = check_finite(y, "evaluation points").astype(np.longdouble)
+    return np.stack(list(jacobi_rows(a, int(k_max), ya)))
 
 
 def jacobi_deriv(alpha: float, k: int, y):
@@ -113,7 +106,8 @@ def jacobi_deriv(alpha: float, k: int, y):
     a = _validate_alpha(alpha, -1.0)
     if int(k) != k or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    out = _deriv_extended(a, int(k), _validate_points(y))
+    ya = check_finite(y, "evaluation points").astype(np.longdouble)
+    out = _deriv_extended(a, int(k), ya)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -126,9 +120,7 @@ def jacobi_weight(alpha: float, y):
     """
     a = _validate_alpha(alpha, -1.0)
     yarr = np.asarray(y, dtype=float)
-    log_const = (
-        specfun.log_gamma(a + 1.5) - 0.5 * math.log(math.pi) - specfun.log_gamma(a + 1.0)
-    )
+    log_const = gammaln(a + 1.5) - 0.5 * math.log(math.pi) - gammaln(a + 1.0)
     inside = 1.0 - yarr * yarr
     with np.errstate(invalid="ignore"):
         out = np.where(inside > 0.0, math.exp(log_const) * np.abs(inside) ** a, 0.0)
@@ -152,14 +144,14 @@ def sigma_k(alpha: float, k: int) -> float:
     log_sq = (
         math.log(4.0)
         + 2.0 * math.log(k)
-        + specfun.log_gamma(a + 1.5)
+        + gammaln(a + 1.5)
         - 0.5 * math.log(math.pi)
-        - specfun.log_gamma(a + 1.0)
+        - gammaln(a + 1.0)
         + (2.0 * a + 1.0) * math.log(2.0)
         - math.log(2.0 * k + 2.0 * a + 1.0)
-        + 2.0 * specfun.log_gamma(k + a + 1.0)
-        - specfun.log_gamma(k + 1.0)
-        - specfun.log_gamma(k + 2.0 * a + 1.0)
+        + 2.0 * gammaln(k + a + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(k + 2.0 * a + 1.0)
     )
     return math.exp(0.5 * log_sq)
 
@@ -175,7 +167,7 @@ def stein_apply_rescaled(alpha: float, k: int, y):
     if int(k) != k or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
     k = int(k)
-    ya = _validate_points(y)
+    ya = check_finite(y, "evaluation points").astype(np.longdouble)
     g = _last_row(a + 1.0, k - 1, ya)
     g_prime = _deriv_extended(a + 1.0, k - 1, ya)
     out = (1.0 - ya * ya) * g_prime - 2.0 * (np.longdouble(a) + 1.0) * ya * g
@@ -190,9 +182,7 @@ def stein_apply_unrescaled(law, f_value, f_deriv, x):
     Returns (1 - x^2/N) f'(x) - ((N-1)/N) x f(x) from caller-supplied
     values of f and f' at x; |x| must not exceed the support bound.
     """
-    xarr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xarr)):
-        raise DomainError("evaluation points must be finite")
+    xarr = check_finite(x, "evaluation points")
     if np.any(np.abs(xarr) > law.support_bound):
         raise DomainError("operator is defined only on |x| <= sqrt(N)")
     N = law.N
@@ -234,10 +224,7 @@ class JacobiBasis:
     @classmethod
     def for_system(cls, N: float, max_order: int) -> "JacobiBasis":
         """Basis matching the law with effective particle number N."""
-        N = float(N)
-        if not math.isfinite(N) or N <= 3.0:
-            raise DomainError(f"N must be a finite real > 3, got {N!r}")
-        return cls.build((N - 3.0) / 2.0, max_order)
+        return cls.build((check_N(N) - 3.0) / 2.0, max_order)
 
     def sigma(self, k: int) -> float:
         self._check_order(k)

@@ -18,9 +18,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import chdtrc, gammaincinv
 
-from . import specfun
-from .errors import ConfigError, DegenerateSampleError, DomainError
+from .errors import (
+    ConfigError,
+    DegenerateSampleError,
+    DomainError,
+    check_finite,
+    check_int,
+    check_level,
+    check_N,
+)
 from .jacobi import JacobiBasis, jacobi_rows
 
 __all__ = [
@@ -37,9 +45,7 @@ __all__ = [
 
 def even_modes(m: int) -> tuple[int, ...]:
     """Default mode set for truncation order m: even integers 4..m."""
-    if int(m) != m or m < 4:
-        raise ConfigError(f"truncation order must be an integer >= 4, got {m!r}")
-    return tuple(range(4, int(m) + 1, 2))
+    return tuple(range(4, check_int(m, "truncation order", 4) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,8 @@ class SteinTestConfig:
     cutoff: float | None = None
 
     def __post_init__(self):
-        N = float(self.N)
-        if not math.isfinite(N) or N <= 3.0:
-            raise ConfigError(f"N must be a finite real > 3, got {self.N!r}")
-        object.__setattr__(self, "N", N)
-        if int(self.m) != self.m or self.m < 4:
-            raise ConfigError(f"truncation order must be an integer >= 4, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "N", check_N(self.N))
+        object.__setattr__(self, "m", check_int(self.m, "truncation order", 4))
         if self.modes is None:
             object.__setattr__(self, "modes", even_modes(self.m))
         else:
@@ -76,9 +77,7 @@ class SteinTestConfig:
             if any(k < 1 or k > self.m for k in modes):
                 raise ConfigError(f"modes must lie in 1..{self.m}, got {modes}")
             object.__setattr__(self, "modes", modes)
-        if not 0.0 < float(self.level) < 1.0:
-            raise ConfigError(f"level must lie in (0, 1), got {self.level!r}")
-        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "level", check_level(self.level))
         if self.cutoff is not None:
             cutoff = float(self.cutoff)
             if not math.isfinite(cutoff) or cutoff <= 0.0:
@@ -94,13 +93,14 @@ class SteinTestConfig:
         return (self.N - 3.0) / 2.0
 
     def theoretical_cutoff(self) -> float:
-        return specfun.chi2_quantile(self.dof, 1.0 - self.level)
+        """Asymptotic cutoff: the chi-squared(dof) quantile at 1 - level."""
+        return 2.0 * float(gammaincinv(self.dof / 2.0, 1.0 - self.level))
 
     def resolve_cutoff(self) -> float:
         return self.cutoff if self.cutoff is not None else self.theoretical_cutoff()
 
     def build_basis(self) -> JacobiBasis:
-        return JacobiBasis.for_system(self.N, self.m)
+        return JacobiBasis.build(self.alpha, self.m)
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,9 @@ def standardize(values) -> np.ndarray:
     under positive affine rescaling of each sample. Raises
     DegenerateSampleError if any sample is constant.
     """
-    x = np.asarray(values, dtype=float)
+    x = check_finite(values, "sample values")
     if x.ndim not in (1, 2) or x.shape[-1] < 2:
         raise DomainError("standardize requires an (n,) or (reps, n) sample with n >= 2")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample values must be finite")
     centred = x - x.mean(axis=-1, keepdims=True)
     scale = np.sqrt((centred * centred).mean(axis=-1, keepdims=True))
     if np.any(scale == 0.0):
@@ -156,15 +154,6 @@ def _check_pair(config: SteinTestConfig, basis: JacobiBasis) -> None:
         raise ConfigError(
             f"basis order {basis.max_order} below largest mode {max(config.modes)}"
         )
-
-
-def _validate_sample(values) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    if x.size < 1:
-        raise DomainError("sample must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample values must be finite")
-    return x
 
 
 def _mode_sums(y: np.ndarray, modes, basis: JacobiBasis) -> dict[int, np.ndarray]:
@@ -188,9 +177,9 @@ def coefficients(values, config: SteinTestConfig, basis: JacobiBasis) -> dict[in
     alignment (see :func:`run_test`).
     """
     _check_pair(config, basis)
-    x = _validate_sample(values)
-    if x.ndim != 1:
-        raise DomainError("coefficients expects a 1-D sample")
+    x = check_finite(values, "sample values")
+    if x.ndim != 1 or x.size < 1:
+        raise DomainError("coefficients expects a nonempty 1-D sample")
     y = x / math.sqrt(config.N)
     root_n = math.sqrt(x.size)
     sums = _mode_sums(y, config.modes, basis)
@@ -204,22 +193,18 @@ def statistic(values, config: SteinTestConfig, basis: JacobiBasis) -> float:
 
 
 def batch_statistic(
-    samples: np.ndarray,
-    config: SteinTestConfig,
-    basis: JacobiBasis,
-    standardize_first: bool = False,
+    samples: np.ndarray, config: SteinTestConfig, basis: JacobiBasis
 ) -> np.ndarray:
     """T for every row of a (reps, n) sample matrix.
 
     Vectorised simulation path used by the Monte Carlo harness; agrees
-    with :func:`statistic` row by row.
+    with :func:`statistic` row by row. Rows are used as given; pass them
+    through :func:`standardize` first to test them as :func:`run_test` does.
     """
     _check_pair(config, basis)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_statistic expects a (reps, n) matrix")
-    if standardize_first:
-        x = standardize(x)
     y = x / math.sqrt(config.N)
     n = x.shape[1]
     sums = _mode_sums(y, config.modes, basis)
@@ -230,12 +215,7 @@ def batch_statistic(
     return t
 
 
-def run_test(
-    values,
-    config: SteinTestConfig,
-    basis: JacobiBasis | None = None,
-    standardize_first: bool = True,
-) -> TestReport:
+def run_test(values, config: SteinTestConfig, standardize_first: bool = True) -> TestReport:
     """Run the full test on a raw sample and return the report.
 
     Location and scale are treated as nuisance parameters: the sample is
@@ -248,15 +228,11 @@ def run_test(
     The p-value is always reported from the chi-squared survival function
     at T; the accept/reject decision uses the resolved cutoff.
     """
-    if basis is None:
-        basis = config.build_basis()
-    x = _validate_sample(values)
-    if standardize_first:
-        x = standardize(x)
-    coef = coefficients(x, config, basis)
+    x = standardize(values) if standardize_first else values
+    coef = coefficients(x, config, config.build_basis())
     t = float(sum(v * v for v in coef.values()))
     cutoff = config.resolve_cutoff()
-    p_value = specfun.chi2_sf(config.dof, t)
+    p_value = float(chdtrc(config.dof, t))
     return TestReport(
         statistic=t,
         coefficients=coef,

@@ -224,3 +224,25 @@ def test_compare_schema():
     assert lines[0] == "test_name,n,calibrated_power"
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["stein", "ks", "cvm", "ad"]
+
+
+def test_grid_reports_progress_per_cell_on_stderr():
+    result = run_cli(
+        "grid", "--N-values", "5", "--n-values", "10,20", "--m-values", "4",
+        "--calib-reps", "1000", "--eval-reps", "500", "--seed", "3", "--workers", "2",
+    )
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        "cell 1/2 (N=5, n=10, m=4) done",
+        "cell 2/2 (N=5, n=20, m=4) done",
+    ]
+
+
+def test_grid_rejects_infinite_N_before_running():
+    result = run_cli(
+        "grid", "--N-values", "5,inf", "--n-values", "10", "--m-values", "4",
+        "--calib-reps", "1000", "--eval-reps", "500", "--seed", "3",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["finiten: error: N must be a finite real > 3, got inf"]

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from finiten import FiniteNLaw
+from finiten import FiniteNLaw, harness
 from finiten.errors import ConfigError, DomainError
 from finiten.harness import (
     CALIBRATED,
@@ -68,7 +69,7 @@ def test_empirical_cutoff_order_statistic():
     assert empirical_cutoff(shuffled, 0.05) == 96.0
     with pytest.raises(DomainError):
         empirical_cutoff(np.array([]), 0.05)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         empirical_cutoff(stats, 1.5)
 
 
@@ -129,7 +130,7 @@ def test_grid_spec_defaults_follow_protocol():
     desk = spec.desk_scale()
     assert desk.calib_reps == 5_000 and desk.eval_reps == 2_000
     assert desk.N_values == spec.N_values
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         GridSpec(N_values=(2.0,))
     with pytest.raises(ConfigError):
         GridSpec(calib_reps=10)
@@ -183,11 +184,37 @@ def test_run_grid_worker_count_invariance():
 def test_run_grid_reports_progress_and_streams_cells():
     spec = _tiny_spec()
     seen_cells = []
-    messages = []
-    result = run_grid(spec, on_cell=seen_cells.append, progress=messages.append)
-    assert len(seen_cells) == 2
-    assert len(messages) == 2 and "1/2" in messages[0]
+    result = run_grid(spec, on_cell=seen_cells.append)
+    assert [cell.calibration for cell in seen_cells] == list(result.calibration.entries)
+    assert [(e.N, e.n, e.m) for e in result.calibration.entries] == spec.cells()
     assert "# complete=true" in grid_result_to_csv(result)
+
+
+def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
+    pool_sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    spec = _tiny_spec()
+    result = run_grid(spec, workers=64)
+    assert pool_sizes == [len(spec.cells())]
+    assert grid_result_to_csv(result) == grid_result_to_csv(run_grid(spec, workers=1))
+    run_grid(replace(spec, n_values=(10,)), workers=64)  # one cell: no pool at all
+    assert pool_sizes == [len(spec.cells())]
 
 
 def test_sanov_table_reproduces_reference_values():
@@ -227,6 +254,17 @@ def test_compare_edf_schema_and_determinism():
     assert rows == again
     with pytest.raises(ConfigError):
         compare_edf(5.0, (50,), reps=10)
+
+
+def test_compare_edf_validates_every_n_before_simulating(monkeypatch):
+    def no_streams(self, rep):
+        raise AssertionError("a replication stream was built")
+
+    monkeypatch.setattr(ReplicationStreams, "rng", no_streams)
+    with pytest.raises(ConfigError):
+        compare_edf(20.0, [200, 1], reps=1000)
+    with pytest.raises(ConfigError):
+        compare_edf(20.0, [200, 10.7], reps=1000)
 
 
 def test_compare_pipeline_controls_size():

@@ -40,7 +40,7 @@ def test_config_defaults_and_validation():
     assert config.modes == (4, 6, 8, 10) and config.dof == 4
     custom = SteinTestConfig(N=5, m=6, modes=(1, 3, 5))
     assert custom.modes == (1, 3, 5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         SteinTestConfig(N=3.0)
     with pytest.raises(ConfigError):
         SteinTestConfig(N=5, m=4, modes=(5,))  # mode above m
@@ -215,7 +215,7 @@ def test_batch_statistic_matches_rowwise():
     batch = batch_statistic(x, config, basis)
     for j in range(x.shape[0]):
         assert batch[j] == pytest.approx(statistic(x[j], config, basis), rel=1e-12)
-    batch_std = batch_statistic(x, config, basis, standardize_first=True)
+    batch_std = batch_statistic(standardize(x), config, basis)
     for j in range(x.shape[0]):
         assert batch_std[j] == pytest.approx(
             statistic(standardize(x[j]), config, basis), rel=1e-10
