@@ -219,8 +219,7 @@ def _cmd_test(args) -> int:
         seed = _resolve_seed(args.seed)
         # calibrate under the same pipeline the decision will use
         cutoff = harness.calibrate(
-            args.N, len(values), config, args.reps, seed,
-            standardize_first=args.standardize,
+            len(values), config, args.reps, seed, standardize_first=args.standardize
         )
         config = dataclasses.replace(config, cutoff=cutoff)
     elif cutoff_arg != "theoretical":
@@ -298,7 +297,7 @@ def _cmd_calibrate(args) -> int:
     modes = _modes_argument(args.modes)
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
     seed = _resolve_seed(args.seed)
-    cutoff = harness.calibrate(args.N, args.n, config, args.reps, seed)
+    cutoff = harness.calibrate(args.n, config, args.reps, seed)
     entry = harness.CalibrationEntry(
         N=float(args.N), n=args.n, m=args.m, level=args.level,
         cutoff=cutoff, reps=args.reps, seed=seed,

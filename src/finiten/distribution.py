@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, check_finite, check_N
+from .errors import DomainError, check_finite, check_int, check_N
 
 __all__ = ["FiniteNLaw"]
 
@@ -110,7 +110,7 @@ class FiniteNLaw:
         rejection-free and valid for every N > 3. Deterministic given the
         seed (an int, SeedSequence, or Generator).
         """
-        n = self._check_size(n, 1)
+        n = check_int(n, "sample size", 1)
         rng = _as_rng(seed)
         a = self._beta_shape
         b = rng.beta(a, a, size=n)
@@ -123,14 +123,8 @@ class FiniteNLaw:
         shared rescaling y = x / sqrt(N) applies uniformly; values may
         exceed sqrt(N).
         """
-        n = self._check_size(n, 1)
+        n = check_int(n, "sample size", 1)
         return _as_rng(seed).standard_normal(n)
-
-    @staticmethod
-    def _check_size(n: int, minimum: int) -> int:
-        if int(n) != n or n < minimum:
-            raise DomainError(f"sample size must be an integer >= {minimum}, got {n!r}")
-        return int(n)
 
     def log_likelihood(self, values) -> float:
         """Joint log likelihood of an i.i.d. sample; -inf if any point is
@@ -156,7 +150,7 @@ class FiniteNLaw:
     def typical_likelihood_ratio(self, n: int) -> float:
         """Likelihood ratio in favour of the Gaussian on a typical sample
         of size n, equal to exp(-n * KL)."""
-        n = self._check_size(n, 0)
+        n = check_int(n, "sample size", 0)
         return math.exp(-n * self.kl_to_gaussian())
 
     def log_typical_ratio_per_obs(self) -> float:
@@ -175,5 +169,5 @@ class FiniteNLaw:
     def sanov_power_proxy(self, n: int) -> float:
         """Large-deviation benchmark for achievable test power at sample
         size n: 1 - exp(-n * KL). Increasing in n, decreasing in N."""
-        n = self._check_size(n, 0)
+        n = check_int(n, "sample size", 0)
         return -math.expm1(-n * self.kl_to_gaussian())

@@ -48,6 +48,14 @@ def check_level(level) -> float:
     return value
 
 
+def check_cutoff(cutoff) -> float:
+    """Critical value as a float; ConfigError unless finite and positive."""
+    value = float(cutoff)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ConfigError(f"cutoff must be a finite positive real, got {cutoff!r}")
+    return value
+
+
 def check_finite(values, what: str) -> np.ndarray:
     """values as a float array; DomainError if any entry is nan or infinite."""
     arr = np.asarray(values, dtype=float)

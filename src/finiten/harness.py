@@ -24,7 +24,7 @@ import numpy as np
 
 from .distribution import FiniteNLaw
 from .edf import batch_edf_statistics
-from .errors import ConfigError, DomainError, check_int, check_level, check_N
+from .errors import ConfigError, DomainError, check_cutoff, check_int, check_level, check_N
 from .stein_test import SteinTestConfig, batch_statistic, standardize
 
 __all__ = [
@@ -231,13 +231,10 @@ def _normalize_hypothesis(hypothesis: str) -> str:
 
 
 def _draw_rows(law, hypothesis, n, count, streams, offset) -> np.ndarray:
+    draw = law.sample if hypothesis == H0 else law.sample_gaussian_alternative
     x = np.empty((count, n))
-    if hypothesis == H0:
-        for j in range(count):
-            x[j] = law.sample(n, streams.rng(offset + j))
-    else:
-        for j in range(count):
-            x[j] = law.sample_gaussian_alternative(n, streams.rng(offset + j))
+    for j in range(count):
+        x[j] = draw(n, streams.rng(offset + j))
     return x
 
 
@@ -258,11 +255,11 @@ def _chunks(law, hypothesis, n, reps, streams, standardize_first):
 
 
 def _collect_statistics(
-    law, config, basis, hypothesis, n, reps, streams, standardize_first=False
+    config, hypothesis, n, reps, streams, standardize_first=False
 ) -> np.ndarray:
     out = np.empty(reps)
-    for sl, x in _chunks(law, hypothesis, n, reps, streams, standardize_first):
-        out[sl] = batch_statistic(x, config, basis)
+    for sl, x in _chunks(config.law, hypothesis, n, reps, streams, standardize_first):
+        out[sl] = batch_statistic(x, config)
     return out
 
 
@@ -277,49 +274,36 @@ def empirical_cutoff(stats, level: float) -> float:
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
-def _check_cell_args(N: float, n: int, config: SteinTestConfig) -> tuple[float, int]:
-    N = float(N)
-    if config.N != N:
-        raise ConfigError(f"config is for N={config.N}, cell requested N={N}")
-    return N, check_int(n, "sample size", 1)
-
-
 def calibrate(
-    N: float,
-    n: int,
-    config: SteinTestConfig,
-    reps: int,
-    seed: int,
-    standardize_first: bool = False,
+    n: int, config: SteinTestConfig, reps: int, seed: int, standardize_first: bool = False
 ) -> float:
     """Monte Carlo critical value for the statistic under the null.
 
-    Draws ``reps`` independent null samples of size n and returns the
-    empirical (1 - level) quantile of the statistic. Deterministic given
-    the seed. Set ``standardize_first`` to match however the statistic
-    will be applied to data; the protocol runs in this module leave it
-    off because simulation draws are aligned by construction.
+    Draws ``reps`` independent samples of size n from ``config.law`` and
+    returns the empirical (1 - level) quantile of the statistic.
+    Deterministic given the seed. Set ``standardize_first`` to match
+    however the statistic will be applied to data; the protocol runs in
+    this module leave it off because simulation draws are aligned by
+    construction.
     """
-    N, n = _check_cell_args(N, n, config)
+    n = check_int(n, "sample size", 1)
     reps = check_int(reps, "calibration replications", _MIN_CALIB_REPS)
-    law = FiniteNLaw(N)
-    basis = config.build_basis()
-    streams = ReplicationStreams(seed, "calibrate", N, n, config.modes)
-    stats = _collect_statistics(law, config, basis, H0, n, reps, streams, standardize_first)
+    streams = ReplicationStreams(seed, "calibrate", config.N, n, config.modes)
+    stats = _collect_statistics(config, H0, n, reps, streams, standardize_first)
     return empirical_cutoff(stats, config.level)
 
 
-def _evaluate(law, config, basis, n, hypothesis, reps, seed, cutoffs) -> list[PowerRow]:
+def _evaluate(config, n, hypothesis, reps, seed, cutoffs) -> list[PowerRow]:
     """One PowerRow per (cutoff_source, cutoff) pair in ``cutoffs``.
 
     The hypothesis's statistics are drawn once, from the cell's
     "evaluate" streams, and compared against every cutoff.
     """
-    streams = ReplicationStreams(seed, "evaluate", hypothesis, law.N, n, config.modes)
-    stats = _collect_statistics(law, config, basis, hypothesis, n, reps, streams)
+    streams = ReplicationStreams(seed, "evaluate", hypothesis, config.N, n, config.modes)
+    stats = _collect_statistics(config, hypothesis, n, reps, streams)
     return [
         PowerRow(
-            N=law.N, n=n, m=config.m, modes=config.modes,
+            N=config.N, n=n, m=config.m, modes=config.modes,
             cutoff_source=source, hypothesis=hypothesis,
             rejection_rate=int((stats > cutoff).sum()) / reps,
             reps=reps, seed=int(seed),
@@ -329,7 +313,6 @@ def _evaluate(law, config, basis, n, hypothesis, reps, seed, cutoffs) -> list[Po
 
 
 def estimate_rejection(
-    N: float,
     n: int,
     config: SteinTestConfig,
     hypothesis: str,
@@ -344,18 +327,13 @@ def estimate_rejection(
     from the standard Gaussian; both are already location/scale aligned
     by construction, so the statistic is evaluated on the raw draws.
     """
-    N, n = _check_cell_args(N, n, config)
+    n = check_int(n, "sample size", 1)
     hypothesis = _normalize_hypothesis(hypothesis)
     if cutoff_source not in (THEORETICAL, CALIBRATED):
         raise ConfigError(f"cutoff_source must be theoretical or calibrated, got {cutoff_source!r}")
-    cutoff = float(cutoff)
-    if not math.isfinite(cutoff) or cutoff <= 0.0:
-        raise ConfigError(f"cutoff must be a positive real, got {cutoff!r}")
+    cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
-    (row,) = _evaluate(
-        FiniteNLaw(N), config, config.build_basis(), n, hypothesis, reps, seed,
-        ((cutoff_source, cutoff),),
-    )
+    (row,) = _evaluate(config, n, hypothesis, reps, seed, ((cutoff_source, cutoff),))
     return row
 
 
@@ -366,9 +344,7 @@ def estimate_rejection(
 def _grid_cell(args) -> CellResult:
     spec, (N, n, m) = args
     config = SteinTestConfig(N=N, m=m, level=spec.level)
-    law = FiniteNLaw(N)
-    basis = config.build_basis()
-    cutoff_cal = calibrate(N, n, config, spec.calib_reps, spec.master_seed)
+    cutoff_cal = calibrate(n, config, spec.calib_reps, spec.master_seed)
     cutoff_th = config.theoretical_cutoff()
     entry = CalibrationEntry(
         N=N, n=n, m=m, level=spec.level,
@@ -377,9 +353,7 @@ def _grid_cell(args) -> CellResult:
     cutoffs = ((THEORETICAL, cutoff_th), (CALIBRATED, cutoff_cal))
     rows = []
     for hypothesis in (H0, H1):
-        rows += _evaluate(
-            law, config, basis, n, hypothesis, spec.eval_reps, spec.master_seed, cutoffs
-        )
+        rows += _evaluate(config, n, hypothesis, spec.eval_reps, spec.master_seed, cutoffs)
     return CellResult(calibration=entry, rows=tuple(rows))
 
 
@@ -447,12 +421,12 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
 # EDF comparison
 # ----------------------------------------------------------------------
 
-def _compare_stats(law, config, basis, hypothesis, n, reps, streams, standardize_first):
+def _compare_stats(config, hypothesis, n, reps, streams, standardize_first):
     """Per-replication statistics of all four tests on shared draws."""
     out = {name: np.empty(reps) for name in COMPARE_TESTS}
-    for sl, x in _chunks(law, hypothesis, n, reps, streams, standardize_first):
-        out["stein"][sl] = batch_statistic(x, config, basis)
-        ks, cvm, ad = batch_edf_statistics(x, law)
+    for sl, x in _chunks(config.law, hypothesis, n, reps, streams, standardize_first):
+        out["stein"][sl] = batch_statistic(x, config)
+        ks, cvm, ad = batch_edf_statistics(x, config.law)
         out["ks"][sl], out["cvm"][sl], out["ad"][sl] = ks, cvm, ad
     return out
 
@@ -476,15 +450,13 @@ def compare_edf(
     config = SteinTestConfig(N=N, m=m, level=level)
     reps = check_int(reps, "comparison replications", _MIN_CALIB_REPS)
     n_values = [check_int(n, "comparison sample size", 2) for n in n_values]
-    law = FiniteNLaw(config.N)
-    basis = config.build_basis()
     rows: list[CompareRow] = []
     for n in n_values:
         cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n, config.modes)
-        null_stats = _compare_stats(law, config, basis, H0, n, reps, cal_streams, standardize_first)
+        null_stats = _compare_stats(config, H0, n, reps, cal_streams, standardize_first)
         cutoffs = {name: empirical_cutoff(null_stats[name], level) for name in COMPARE_TESTS}
         eval_streams = ReplicationStreams(seed, "compare-evaluate", config.N, n, config.modes)
-        alt_stats = _compare_stats(law, config, basis, H1, n, reps, eval_streams, standardize_first)
+        alt_stats = _compare_stats(config, H1, n, reps, eval_streams, standardize_first)
         for name in COMPARE_TESTS:
             rejections = int((alt_stats[name] > cutoffs[name]).sum())
             rows.append(CompareRow(test_name=name, n=n, calibrated_power=rejections / reps))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigError, DomainError, check_finite, check_N
+from .errors import ConfigError, DomainError, check_finite, check_int, check_N
 
 __all__ = [
     "jacobi_rows",
@@ -95,19 +95,17 @@ def jacobi_eval_all(alpha: float, k_max: int, y):
     these values.
     """
     a = _validate_alpha(alpha, -1.0)
-    if int(k_max) != k_max or k_max < 0:
-        raise DomainError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    k_max = check_int(k_max, "k_max", 0)
     ya = check_finite(y, "evaluation points").astype(np.longdouble)
-    return np.stack(list(jacobi_rows(a, int(k_max), ya)))
+    return np.stack(list(jacobi_rows(a, k_max, ya)))
 
 
 def jacobi_deriv(alpha: float, k: int, y):
     """Derivative of P_k^(a,a) at y via the parameter-shift identity."""
     a = _validate_alpha(alpha, -1.0)
-    if int(k) != k or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    k = check_int(k, "k", 0)
     ya = check_finite(y, "evaluation points").astype(np.longdouble)
-    out = _deriv_extended(a, int(k), ya)
+    out = _deriv_extended(a, k, ya)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -138,9 +136,7 @@ def sigma_k(alpha: float, k: int) -> float:
     evaluated entirely in log space so large a and k cannot overflow.
     """
     a = _validate_alpha(alpha, 0.0)
-    if int(k) != k or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = check_int(k, "k", 1)
     log_sq = (
         math.log(4.0)
         + 2.0 * math.log(k)
@@ -164,9 +160,7 @@ def stein_apply_rescaled(alpha: float, k: int, y):
     -2k * P_k^(a,a)(y). Extended precision, like :func:`jacobi_eval_all`.
     """
     a = _validate_alpha(alpha, 0.0)
-    if int(k) != k or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = check_int(k, "k", 1)
     ya = check_finite(y, "evaluation points").astype(np.longdouble)
     g = _last_row(a + 1.0, k - 1, ya)
     g_prime = _deriv_extended(a + 1.0, k - 1, ya)
@@ -211,9 +205,7 @@ class JacobiBasis:
     @classmethod
     def build(cls, alpha: float, max_order: int) -> "JacobiBasis":
         a = _validate_alpha(alpha, 0.0)
-        if int(max_order) != max_order or max_order < 1:
-            raise DomainError(f"max_order must be a positive integer, got {max_order!r}")
-        m = int(max_order)
+        m = check_int(max_order, "max_order", 1)
         sig = np.array([sigma_k(a, k) for k in range(1, m + 1)])
         if not np.all(np.isfinite(sig)) or np.any(sig <= 0.0):
             raise ConfigError("sigma sequence is not finite and positive")
@@ -227,21 +219,19 @@ class JacobiBasis:
         return cls.build((check_N(N) - 3.0) / 2.0, max_order)
 
     def sigma(self, k: int) -> float:
-        self._check_order(k)
-        return float(self.sigmas[int(k) - 1])
+        return float(self.sigmas[self._check_order(k) - 1])
 
     def psi(self, k: int, y):
         """Orthonormal function psi_k at y (scalar or array)."""
-        self._check_order(k)
-        k = int(k)
+        k = self._check_order(k)
         poly = jacobi_eval_all(self.alpha, k, y)[k]
         out = -(2.0 * k / self.sigmas[k - 1]) * poly
         if np.ndim(y) == 0:
             return float(out)
         return out.astype(float)
 
-    def _check_order(self, k: int) -> None:
-        if int(k) != k or not 1 <= k <= self.max_order:
-            raise DomainError(
-                f"mode {k!r} outside the constructed range 1..{self.max_order}"
-            )
+    def _check_order(self, k: int) -> int:
+        k = check_int(k, "mode", 1)
+        if k > self.max_order:
+            raise DomainError(f"mode {k} outside the constructed range 1..{self.max_order}")
+        return k

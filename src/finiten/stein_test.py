@@ -15,19 +15,20 @@ mode set is the even orders {4, 6, ..., m}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import chdtrc, gammaincinv
 
+from .distribution import FiniteNLaw
 from .errors import (
     ConfigError,
     DegenerateSampleError,
     DomainError,
+    check_cutoff,
     check_finite,
     check_int,
     check_level,
-    check_N,
 )
 from .jacobi import JacobiBasis, jacobi_rows
 
@@ -54,7 +55,8 @@ class SteinTestConfig:
 
     ``cutoff`` is None for the asymptotic chi-squared critical value, or a
     Monte Carlo calibrated value. ``modes`` defaults to the even set
-    {4, 6, ..., m}.
+    {4, 6, ..., m}. The null ``law`` and the Jacobi ``basis`` up to order
+    m follow from N and m and are built once, at construction.
     """
 
     N: float
@@ -62,14 +64,17 @@ class SteinTestConfig:
     modes: tuple[int, ...] = None  # type: ignore[assignment]
     level: float = 0.05
     cutoff: float | None = None
+    law: FiniteNLaw = field(init=False, repr=False, compare=False)
+    basis: JacobiBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "N", check_N(self.N))
+        object.__setattr__(self, "law", FiniteNLaw(self.N))
+        object.__setattr__(self, "N", self.law.N)
         object.__setattr__(self, "m", check_int(self.m, "truncation order", 4))
         if self.modes is None:
             object.__setattr__(self, "modes", even_modes(self.m))
         else:
-            modes = tuple(int(k) for k in self.modes)
+            modes = tuple(check_int(k, "mode", 1) for k in self.modes)
             if not modes:
                 raise ConfigError("mode set must be nonempty")
             if len(set(modes)) != len(modes):
@@ -79,18 +84,12 @@ class SteinTestConfig:
             object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "level", check_level(self.level))
         if self.cutoff is not None:
-            cutoff = float(self.cutoff)
-            if not math.isfinite(cutoff) or cutoff <= 0.0:
-                raise ConfigError(f"calibrated cutoff must be positive, got {self.cutoff!r}")
-            object.__setattr__(self, "cutoff", cutoff)
+            object.__setattr__(self, "cutoff", check_cutoff(self.cutoff))
+        object.__setattr__(self, "basis", self.build_basis())
 
     @property
     def dof(self) -> int:
         return len(self.modes)
-
-    @property
-    def alpha(self) -> float:
-        return (self.N - 3.0) / 2.0
 
     def theoretical_cutoff(self) -> float:
         """Asymptotic cutoff: the chi-squared(dof) quantile at 1 - level."""
@@ -100,7 +99,7 @@ class SteinTestConfig:
         return self.cutoff if self.cutoff is not None else self.theoretical_cutoff()
 
     def build_basis(self) -> JacobiBasis:
-        return JacobiBasis.build(self.alpha, self.m)
+        return JacobiBasis.build(self.law.alpha, self.m)
 
 
 @dataclass(frozen=True)
@@ -145,69 +144,54 @@ def standardize(values) -> np.ndarray:
     return centred / scale
 
 
-def _check_pair(config: SteinTestConfig, basis: JacobiBasis) -> None:
-    if abs(basis.alpha - config.alpha) > 1e-12 * max(1.0, abs(config.alpha)):
-        raise ConfigError(
-            f"basis alpha {basis.alpha} does not match config N={config.N}"
-        )
-    if basis.max_order < max(config.modes):
-        raise ConfigError(
-            f"basis order {basis.max_order} below largest mode {max(config.modes)}"
-        )
+def _mode_sums(x: np.ndarray, config: SteinTestConfig) -> dict[int, np.ndarray]:
+    """Sum of psi_k(x / sqrt(N)) over the last axis of x, for each mode.
 
-
-def _mode_sums(y: np.ndarray, modes, basis: JacobiBasis) -> dict[int, np.ndarray]:
-    """Sum of psi_k over the last axis of y, for each requested mode.
-
-    Runs the recurrence once up to the largest mode in float64; y may be
+    Runs the recurrence once up to the largest mode in float64; x may be
     (n,) or (reps, n).
     """
-    wanted = frozenset(modes)
+    y = x / math.sqrt(config.N)
+    basis = config.basis
+    wanted = frozenset(config.modes)
     return {
         k: (-(2.0 * k / basis.sigmas[k - 1]) * p).sum(axis=-1)
-        for k, p in enumerate(jacobi_rows(basis.alpha, max(modes), y))
+        for k, p in enumerate(jacobi_rows(basis.alpha, max(wanted), y))
         if k in wanted
     }
 
 
-def coefficients(values, config: SteinTestConfig, basis: JacobiBasis) -> dict[int, float]:
+def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     """Empirical mode coefficients mu_k = n^(-1/2) sum_i psi_k(x_i/sqrt(N)).
 
     The sample is used as given; callers own any location/scale
     alignment (see :func:`run_test`).
     """
-    _check_pair(config, basis)
     x = check_finite(values, "sample values")
     if x.ndim != 1 or x.size < 1:
         raise DomainError("coefficients expects a nonempty 1-D sample")
-    y = x / math.sqrt(config.N)
     root_n = math.sqrt(x.size)
-    sums = _mode_sums(y, config.modes, basis)
+    sums = _mode_sums(x, config)
     return {k: float(sums[k]) / root_n for k in config.modes}
 
 
-def statistic(values, config: SteinTestConfig, basis: JacobiBasis) -> float:
+def statistic(values, config: SteinTestConfig) -> float:
     """Quadratic statistic T = sum of mu_k^2 over the configured modes."""
-    coef = coefficients(values, config, basis)
+    coef = coefficients(values, config)
     return float(sum(v * v for v in coef.values()))
 
 
-def batch_statistic(
-    samples: np.ndarray, config: SteinTestConfig, basis: JacobiBasis
-) -> np.ndarray:
+def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     """T for every row of a (reps, n) sample matrix.
 
     Vectorised simulation path used by the Monte Carlo harness; agrees
     with :func:`statistic` row by row. Rows are used as given; pass them
     through :func:`standardize` first to test them as :func:`run_test` does.
     """
-    _check_pair(config, basis)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_statistic expects a (reps, n) matrix")
-    y = x / math.sqrt(config.N)
     n = x.shape[1]
-    sums = _mode_sums(y, config.modes, basis)
+    sums = _mode_sums(x, config)
     t = np.zeros(x.shape[0])
     for k in config.modes:
         mu = sums[k] / math.sqrt(n)
@@ -229,7 +213,7 @@ def run_test(values, config: SteinTestConfig, standardize_first: bool = True) ->
     at T; the accept/reject decision uses the resolved cutoff.
     """
     x = standardize(values) if standardize_first else values
-    coef = coefficients(x, config, config.build_basis())
+    coef = coefficients(x, config)
     t = float(sum(v * v for v in coef.values()))
     cutoff = config.resolve_cutoff()
     p_value = float(chdtrc(config.dof, t))

@@ -167,7 +167,7 @@ def test_criterion_07_type_i_error_desk():
     start = time.perf_counter()
     config = SteinTestConfig(N=5, m=4)
     row = estimate_rejection(
-        5.0, 100, config, H0, config.theoretical_cutoff(), 5_000, MASTER_SEED,
+        100, config, H0, config.theoretical_cutoff(), 5_000, MASTER_SEED,
         cutoff_source=THEORETICAL,
     )
     elapsed = time.perf_counter() - start
@@ -179,8 +179,8 @@ def test_criterion_07_type_i_error_desk():
 def test_criterion_08_power_small_system():
     start = time.perf_counter()
     config = SteinTestConfig(N=5, m=4)
-    cutoff = calibrate(5.0, 100, config, 10_000, MASTER_SEED)
-    row = estimate_rejection(5.0, 100, config, H1, cutoff, 5_000, MASTER_SEED)
+    cutoff = calibrate(100, config, 10_000, MASTER_SEED)
+    row = estimate_rejection(100, config, H1, cutoff, 5_000, MASTER_SEED)
     elapsed = time.perf_counter() - start
     ok = abs(row.rejection_rate - 0.886) <= 0.025
     _report(8, "power N=5", ok,
@@ -190,8 +190,8 @@ def test_criterion_08_power_small_system():
 def test_criterion_09_power_large_system():
     start = time.perf_counter()
     config = SteinTestConfig(N=20, m=4)
-    cutoff = calibrate(20.0, 500, config, 10_000, MASTER_SEED)
-    row = estimate_rejection(20.0, 500, config, H1, cutoff, 5_000, MASTER_SEED)
+    cutoff = calibrate(500, config, 10_000, MASTER_SEED)
+    row = estimate_rejection(500, config, H1, cutoff, 5_000, MASTER_SEED)
     elapsed = time.perf_counter() - start
     ok = abs(row.rejection_rate - 0.427) <= 0.03
     _report(9, "power N=20", ok,
@@ -202,8 +202,8 @@ def test_criterion_09_power_large_system():
 def test_criterion_09_spot_large_sample():
     start = time.perf_counter()
     config = SteinTestConfig(N=20, m=4)
-    cutoff = calibrate(20.0, 2000, config, 10_000, MASTER_SEED)
-    row = estimate_rejection(20.0, 2000, config, H1, cutoff, 2_000, MASTER_SEED)
+    cutoff = calibrate(2000, config, 10_000, MASTER_SEED)
+    row = estimate_rejection(2000, config, H1, cutoff, 2_000, MASTER_SEED)
     elapsed = time.perf_counter() - start
     ok = abs(row.rejection_rate - 0.882) <= 0.03
     _report(9, "power N=20 spot n=2000", ok,

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from finiten import FiniteNLaw
-from finiten.errors import DomainError
+from finiten.errors import ConfigError, DomainError
 
 # mpmath references (40 digits)
 LOG_C5 = -1.092401028668831114739598672606921251266
@@ -106,7 +106,7 @@ def test_sample_support_and_moments():
 def test_sample_deterministic_and_validates():
     law = FiniteNLaw(8)
     assert np.array_equal(law.sample(100, 7), law.sample(100, 7))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         law.sample(0, 1)
 
 

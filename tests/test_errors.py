@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -7,6 +8,12 @@ import pytest
 import finiten
 from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
+from finiten.jacobi import (
+    jacobi_deriv,
+    jacobi_eval_all,
+    sigma_k,
+    stein_apply_rescaled,
+)
 
 N_ENTRY_POINTS = {
     "FiniteNLaw": FiniteNLaw,
@@ -30,11 +37,57 @@ def test_grid_spec_rejects_fractional_counts():
         GridSpec(n_values=(10.7,))
 
 
-def test_every_exported_name_exists():
-    modules = [finiten] + [
+COUNT_ENTRY_POINTS = {
+    "FiniteNLaw.sample": lambda k: FiniteNLaw(5).sample(k, 0),
+    "FiniteNLaw.sample_gaussian_alternative":
+        lambda k: FiniteNLaw(5).sample_gaussian_alternative(k, 0),
+    "FiniteNLaw.sanov_power_proxy": lambda k: FiniteNLaw(5).sanov_power_proxy(k),
+    "FiniteNLaw.typical_likelihood_ratio": lambda k: FiniteNLaw(5).typical_likelihood_ratio(k),
+    "jacobi_eval_all": lambda k: jacobi_eval_all(1.0, k, 0.5),
+    "jacobi_deriv": lambda k: jacobi_deriv(1.0, k, 0.5),
+    "sigma_k": lambda k: sigma_k(1.0, k),
+    "stein_apply_rescaled": lambda k: stein_apply_rescaled(1.0, k, 0.5),
+    "JacobiBasis.build": lambda k: JacobiBasis.build(1.0, k),
+    "JacobiBasis.psi": lambda k: JacobiBasis.build(1.0, 4).psi(k, 0.5),
+    "JacobiBasis.sigma": lambda k: JacobiBasis.build(1.0, 4).sigma(k),
+    "SteinTestConfig.modes": lambda k: SteinTestConfig(N=5, m=6, modes=(k,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_every_count_entry_point_raises_config_error(entry, k):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        COUNT_ENTRY_POINTS[entry](k)
+
+
+def _modules():
+    return [finiten] + [
         importlib.import_module(f"finiten.{info.name}")
         for info in pkgutil.iter_modules(finiten.__path__)
     ]
-    for module in modules:
+
+
+def test_every_exported_name_exists():
+    for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _public_callables(obj):
+    yield obj
+    if inspect.isclass(obj):
+        yield from (getattr(obj, n) for n in dir(obj) if not n.startswith("_"))
+
+
+def test_no_callable_takes_a_config_beside_what_it_determines():
+    # a config carries N, its law and its basis; nothing takes a second copy
+    for module in _modules():
+        for name in getattr(module, "__all__", ()):
+            for member in filter(callable, _public_callables(getattr(module, name))):
+                try:
+                    params = set(inspect.signature(member).parameters)
+                except (TypeError, ValueError):
+                    continue
+                if "config" in params:
+                    assert not params & {"N", "law", "basis"}, f"{module.__name__}.{name}"

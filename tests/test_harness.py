@@ -75,29 +75,27 @@ def test_empirical_cutoff_order_statistic():
 
 def test_calibrate_determinism_and_validation():
     config = SteinTestConfig(N=5, m=4)
-    first = calibrate(5.0, 50, config, 1000, seed=42)
-    second = calibrate(5.0, 50, config, 1000, seed=42)
+    first = calibrate(50, config, 1000, seed=42)
+    second = calibrate(50, config, 1000, seed=42)
     assert first == second
     assert first > 0.0
-    assert calibrate(5.0, 50, config, 1000, seed=43) != first
+    assert calibrate(50, config, 1000, seed=43) != first
     with pytest.raises(ConfigError):
-        calibrate(5.0, 50, config, 999, seed=1)
-    with pytest.raises(ConfigError):
-        calibrate(10.0, 50, config, 1000, seed=1)
+        calibrate(50, config, 999, seed=1)
 
 
 def test_calibrated_cutoff_approaches_chi2():
     # the null law converges, so the calibrated cutoff approaches the
     # chi-squared 95% point 3.84 for one mode
     config = SteinTestConfig(N=5, m=4)
-    cutoff = calibrate(5.0, 500, config, 20_000, seed=7)
+    cutoff = calibrate(500, config, 20_000, seed=7)
     assert cutoff == pytest.approx(3.8414588, abs=0.10)
 
 
 def test_estimate_rejection_tautology_and_exactness():
     config = SteinTestConfig(N=5, m=4)
-    cutoff = calibrate(5.0, 100, config, 5_000, seed=11)
-    row = estimate_rejection(5.0, 100, config, H0, cutoff, 5_000, seed=11)
+    cutoff = calibrate(100, config, 5_000, seed=11)
+    row = estimate_rejection(100, config, H0, cutoff, 5_000, seed=11)
     assert row.hypothesis == H0 and row.cutoff_source == CALIBRATED
     # calibrated size is close to the nominal level on fresh draws
     se = math.sqrt(0.05 * 0.95 / 5_000)
@@ -106,18 +104,18 @@ def test_estimate_rejection_tautology_and_exactness():
     assert row.rejection_rate * row.reps == pytest.approx(
         round(row.rejection_rate * row.reps), abs=1e-9
     )
-    again = estimate_rejection(5.0, 100, config, H0, cutoff, 5_000, seed=11)
+    again = estimate_rejection(100, config, H0, cutoff, 5_000, seed=11)
     assert row == again
 
 
 def test_estimate_rejection_validation():
     config = SteinTestConfig(N=5, m=4)
     with pytest.raises(ConfigError):
-        estimate_rejection(5.0, 50, config, "h2", 3.8, 100, seed=0)
+        estimate_rejection(50, config, "h2", 3.8, 100, seed=0)
     with pytest.raises(ConfigError):
-        estimate_rejection(5.0, 50, config, H0, -1.0, 100, seed=0)
+        estimate_rejection(50, config, H0, -1.0, 100, seed=0)
     with pytest.raises(ConfigError):
-        estimate_rejection(5.0, 50, config, H0, 3.8, 100, seed=0, cutoff_source="guess")
+        estimate_rejection(50, config, H0, 3.8, 100, seed=0, cutoff_source="guess")
 
 
 def test_grid_spec_defaults_follow_protocol():
@@ -156,13 +154,13 @@ def test_run_grid_composition_matches_direct_calls():
     assert result.complete
     assert len(result.rows) == 4
     config = SteinTestConfig(N=5.0, m=4, level=spec.level)
-    cutoff = calibrate(5.0, 50, config, spec.calib_reps, spec.master_seed)
+    cutoff = calibrate(50, config, spec.calib_reps, spec.master_seed)
     assert result.calibration.lookup(5.0, 50, 4).cutoff == cutoff
     expected = {}
     for hypothesis in (H0, H1):
         for source, value in ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff)):
             row = estimate_rejection(
-                5.0, 50, config, hypothesis, value, spec.eval_reps,
+                50, config, hypothesis, value, spec.eval_reps,
                 spec.master_seed, cutoff_source=source,
             )
             expected[(hypothesis, source)] = row
@@ -271,15 +269,13 @@ def test_compare_pipeline_controls_size():
     # each test holds its own calibrated level on fresh null draws
     N, n, reps, level = 5.0, 100, 2_000, 0.05
     config = SteinTestConfig(N=N, m=4, level=level)
-    law = FiniteNLaw(N)
-    basis = config.build_basis()
     cal = _compare_stats(
-        law, config, basis, H0, n, reps,
+        config, H0, n, reps,
         ReplicationStreams(5, "compare-calibrate", N, n, config.modes), True,
     )
     cutoffs = {name: empirical_cutoff(cal[name], level) for name in cal}
     fresh = _compare_stats(
-        law, config, basis, H0, n, reps,
+        config, H0, n, reps,
         ReplicationStreams(5, "size-check", N, n, config.modes), True,
     )
     se = math.sqrt(level * (1 - level) / reps)
@@ -407,8 +403,8 @@ def test_power_stays_below_sanov_proxy():
     # the large-deviation proxy is an optimality benchmark for N >= 10
     for N, n in ((10.0, 50), (10.0, 100), (20.0, 100), (20.0, 500)):
         config = SteinTestConfig(N=N, m=4)
-        cutoff = calibrate(N, n, config, 5_000, seed=17)
-        row = estimate_rejection(N, n, config, H1, cutoff, 2_000, seed=17)
+        cutoff = calibrate(n, config, 5_000, seed=17)
+        row = estimate_rejection(n, config, H1, cutoff, 2_000, seed=17)
         proxy = FiniteNLaw(N).sanov_power_proxy(n)
         assert row.rejection_rate <= proxy + 0.05
 
@@ -417,6 +413,6 @@ def test_power_stays_below_sanov_proxy():
 def test_calibrated_size_envelope_full_scale():
     # size within [0.044, 0.057] at the full replication counts
     config = SteinTestConfig(N=5, m=4)
-    cutoff = calibrate(5.0, 100, config, 50_000, seed=2024)
-    row = estimate_rejection(5.0, 100, config, H0, cutoff, 20_000, seed=2024)
+    cutoff = calibrate(100, config, 50_000, seed=2024)
+    row = estimate_rejection(100, config, H0, cutoff, 20_000, seed=2024)
     assert 0.044 <= row.rejection_rate <= 0.057

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from finiten import FiniteNLaw
-from finiten.errors import DomainError
+from finiten.errors import ConfigError, DomainError
 from finiten.jacobi import (
     JacobiBasis,
     jacobi_deriv,
@@ -67,7 +67,7 @@ def test_parity():
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
         jacobi_eval_all(-1.0, 3, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         jacobi_eval_all(1.0, -1, 0.5)
     with pytest.raises(DomainError):
         jacobi_eval_all(1.0, 3, math.nan)
@@ -136,7 +136,7 @@ def test_sigma_no_overflow():
 def test_sigma_domain():
     with pytest.raises(DomainError):
         sigma_k(0.0, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         sigma_k(1.0, 0)
 
 
@@ -152,7 +152,7 @@ def test_basis_construction():
     assert np.all(np.diff(big.sigmas) > 0)
     with pytest.raises(DomainError):
         basis.psi(11, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         basis.psi(0, 0.0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +53,24 @@ def test_config_defaults_and_validation():
         SteinTestConfig(N=5, level=1.5)
     with pytest.raises(ConfigError):
         SteinTestConfig(N=5, cutoff=-1.0)
+    with pytest.raises(ConfigError, match="mode must be an integer"):
+        SteinTestConfig(N=5, m=6, modes=(4.5, 6))  # not truncated to 4
+    with pytest.raises(ConfigError, match="mode must be an integer"):
+        SteinTestConfig(N=5, modes=(math.nan,))
+
+
+def test_config_owns_its_law_and_basis():
+    config = SteinTestConfig(N=7, m=8)
+    assert config.law == FiniteNLaw(7) and config.basis.alpha == config.law.alpha
+    assert config.basis.max_order == config.m
+    twin = SteinTestConfig(N=7.0, m=8)
+    assert twin == config and hash(twin) == hash(config)
+    assert "law" not in repr(config) and "basis" not in repr(config)
+    assert repr(config) == "SteinTestConfig(N=7.0, m=8, modes=(4, 6, 8), level=0.05, cutoff=None)"
+    replaced = dataclasses.replace(config, cutoff=3.0)
+    assert replaced.cutoff == 3.0 and replaced != config
+    assert (replaced.basis.alpha, replaced.basis.max_order) == (config.basis.alpha, config.m)
+    assert np.array_equal(replaced.basis.sigmas, config.basis.sigmas)
 
 
 def test_config_cutoffs():
@@ -108,10 +127,9 @@ def test_float64_coefficients_match_extended_psi(N):
     # one behind psi, for single-point samples across the support
     m = 30
     config = SteinTestConfig(N=N, m=m, modes=tuple(range(1, m + 1)))
-    basis = config.build_basis()
     x = math.sqrt(N) * np.linspace(-1.0, 1.0, 41)
-    psi = np.array([basis.psi(k, x / math.sqrt(N)) for k in range(1, m + 1)])
-    coef = np.array([list(coefficients([xi], config, basis).values()) for xi in x]).T
+    psi = np.array([config.basis.psi(k, x / math.sqrt(N)) for k in range(1, m + 1)])
+    coef = np.array([list(coefficients([xi], config).values()) for xi in x]).T
     scale = np.abs(psi).max(axis=1, keepdims=True)
     assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
 
@@ -120,71 +138,56 @@ def test_coefficients_parity_and_single_point():
     basis = JacobiBasis.for_system(5.0, 4)
     config = SteinTestConfig(N=5, m=4, modes=(1, 3))
     sample = np.array([-0.8, 0.8, -0.3, 0.3])
-    coefs = coefficients(sample, config, basis)
+    coefs = coefficients(sample, config)
     assert coefs[1] == 0.0
     assert coefs[3] == 0.0
 
     config4 = SteinTestConfig(N=5, m=4)
     x = 0.9
-    single = coefficients(np.array([x]), config4, basis)
+    single = coefficients(np.array([x]), config4)
     assert single[4] == pytest.approx(basis.psi(4, x / math.sqrt(5.0)), rel=1e-13)
 
 
-def test_coefficients_config_mismatch():
-    basis = JacobiBasis.for_system(10.0, 4)
-    config = SteinTestConfig(N=5, m=4)
-    with pytest.raises(ConfigError):
-        coefficients(np.array([0.1, 0.2]), config, basis)
-    short_basis = JacobiBasis.for_system(5.0, 4)
-    with pytest.raises(ConfigError):
-        coefficients(np.array([0.1]), SteinTestConfig(N=5, m=6), short_basis)
-
-
 def test_statistic_is_sum_of_squares():
-    basis = JacobiBasis.for_system(5.0, 10)
     config = SteinTestConfig(N=5, m=10)
     law = FiniteNLaw(5)
     x = law.sample(400, 11)
-    coefs = coefficients(x, config, basis)
-    t = statistic(x, config, basis)
+    coefs = coefficients(x, config)
+    t = statistic(x, config)
     assert t >= 0.0
     assert t == pytest.approx(sum(v * v for v in coefs.values()), abs=1e-12)
 
 
 def test_statistic_permutation_invariant():
-    basis = JacobiBasis.for_system(5.0, 10)
     config = SteinTestConfig(N=5, m=10)
     law = FiniteNLaw(5)
     x = law.sample(999, 13)
-    t = statistic(x, config, basis)
+    t = statistic(x, config)
     rng = np.random.default_rng(14)
     for _ in range(3):
-        assert statistic(rng.permutation(x), config, basis) == pytest.approx(t, rel=1e-10)
+        assert statistic(rng.permutation(x), config) == pytest.approx(t, rel=1e-10)
 
 
 def test_null_statistic_mean_is_one():
     # E[T] = 1 for a single mode: the coefficient has unit variance by
     # orthonormality (20,000 replications, N=5, n=500)
-    basis = JacobiBasis.for_system(5.0, 4)
     config = SteinTestConfig(N=5, m=4)
-    t = batch_statistic(_null_matrix(5.0, 500, 20_000, 101), config, basis)
+    t = batch_statistic(_null_matrix(5.0, 500, 20_000, 101), config)
     assert t.mean() == pytest.approx(1.0, abs=0.05)
 
 
 def test_null_statistic_upper_quantile_two_modes():
     # with two modes the 95th percentile approaches the chi2_2 value 5.99
-    basis = JacobiBasis.for_system(5.0, 6)
     config = SteinTestConfig(N=5, m=6)
-    t = np.sort(batch_statistic(_null_matrix(5.0, 500, 20_000, 202), config, basis))
+    t = np.sort(batch_statistic(_null_matrix(5.0, 500, 20_000, 202), config))
     q95 = t[int(math.ceil(0.95 * (t.size + 1))) - 1]
     assert q95 == pytest.approx(5.991464547, abs=0.15)
 
 
 def test_null_statistic_matches_chi2_law():
     # Kolmogorov distance of 20,000 null statistics to chi-squared (1 dof)
-    basis = JacobiBasis.for_system(5.0, 4)
     config = SteinTestConfig(N=5, m=4)
-    t = batch_statistic(_null_matrix(5.0, 500, 20_000, 303), config, basis)
+    t = batch_statistic(_null_matrix(5.0, 500, 20_000, 303), config)
     u = np.sort(special.chdtr(1, t))
     i = np.arange(1, t.size + 1)
     ks = max((i / t.size - u).max(), (u - (i - 1) / t.size).max())
@@ -194,13 +197,12 @@ def test_null_statistic_matches_chi2_law():
 def test_null_coefficients_stay_in_gaussian_range():
     # each mode coefficient behaves like a standard normal at n = 1e5;
     # |mu_k| < 4 in at least 99 of 100 replications
-    basis = JacobiBasis.for_system(5.0, 10)
     config = SteinTestConfig(N=5, m=10)
     law = FiniteNLaw(5)
     hits = {k: 0 for k in config.modes}
     reps = 100
     for r in range(reps):
-        coefs = coefficients(law.sample(100_000, 1_000 + r), config, basis)
+        coefs = coefficients(law.sample(100_000, 1_000 + r), config)
         for k, value in coefs.items():
             if abs(value) <= 4.0:
                 hits[k] += 1
@@ -209,16 +211,15 @@ def test_null_coefficients_stay_in_gaussian_range():
 
 
 def test_batch_statistic_matches_rowwise():
-    basis = JacobiBasis.for_system(7.0, 8)
     config = SteinTestConfig(N=7, m=8)
     x = _null_matrix(7.0, 60, 25, 404)
-    batch = batch_statistic(x, config, basis)
+    batch = batch_statistic(x, config)
     for j in range(x.shape[0]):
-        assert batch[j] == pytest.approx(statistic(x[j], config, basis), rel=1e-12)
-    batch_std = batch_statistic(standardize(x), config, basis)
+        assert batch[j] == pytest.approx(statistic(x[j], config), rel=1e-12)
+    batch_std = batch_statistic(standardize(x), config)
     for j in range(x.shape[0]):
         assert batch_std[j] == pytest.approx(
-            statistic(standardize(x[j]), config, basis), rel=1e-10
+            statistic(standardize(x[j]), config), rel=1e-10
         )
 
 
@@ -268,7 +269,7 @@ def test_run_test_standardize_toggle():
     raw = run_test(x, config, standardize_first=False)
     aligned = run_test(x, config, standardize_first=True)
     assert raw.statistic != aligned.statistic  # alignment changes the projection
-    direct = statistic(x, config, config.build_basis())
+    direct = statistic(x, config)
     assert raw.statistic == pytest.approx(direct, rel=1e-13)
 
 
@@ -277,15 +278,14 @@ def test_rejection_rates_across_seeds():
     # Gaussian data at n=250 is rejected nearly always (N=5, m=4)
     law = FiniteNLaw(5)
     config = SteinTestConfig(N=5, m=4)
-    basis = config.build_basis()
     reps = 1_000
     null_rejections = 0
     alt_rejections = 0
     cutoff = config.theoretical_cutoff()
-    null_t = batch_statistic(_null_matrix(5.0, 500, reps, 71), config, basis)
+    null_t = batch_statistic(_null_matrix(5.0, 500, reps, 71), config)
     null_rejections = int((null_t > cutoff).sum())
     rng = np.random.default_rng(72)
-    alt_t = batch_statistic(rng.standard_normal((reps, 250)), config, basis)
+    alt_t = batch_statistic(rng.standard_normal((reps, 250)), config)
     alt_rejections = int((alt_t > cutoff).sum())
     assert abs(null_rejections / reps - 0.05) < 0.03
     assert alt_rejections / reps > 0.97
