@@ -4,12 +4,18 @@ Calibration of critical values, size and power estimation, the
 large-deviation power table, and the comparison against classical EDF
 tests.
 
-Determinism contract: replication r of a simulation cell draws from a
-counter-based substream keyed injectively by (master seed, cell identity,
-r). No stream is shared across cells or phases, reductions are
-order-independent, and results are bit-identical for any worker count.
-Replications are processed in bounded chunks so large grids never
-materialise full sample matrices in memory.
+Determinism contract: the replications of a simulation phase are cut
+into blocks of ``BLOCK`` = 512. Block b draws from one counter-based
+Philox stream whose key is an injective hash of (master seed, phase, N, n,
+b), in one vectorised call, and replication r is row r % 512 of block
+r // 512. The block size is fixed, whatever the worker count, and numpy
+fills a block in order, so the first R replications are the same for any
+reps >= R. The key holds no truncation order or mode set: every m of an
+(N, n) pair shares the same draws, and T for each m is a partial sum of
+one pass of the recurrence. No stream is shared across phases or (N, n)
+pairs, reductions are order-independent, and results are bit-identical
+for any worker count. Only one block of draws is held at a time, so
+large grids never materialise full sample matrices in memory.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 from .distribution import FiniteNLaw
 from .edf import batch_edf_statistics
 from .errors import ConfigError, DomainError, check_cutoff, check_int, check_level, check_N
-from .stein_test import SteinTestConfig, batch_statistic, standardize
+from .stein_test import SteinTestConfig, batch_statistic, running_statistics, standardize
 
 __all__ = [
     "H0",
@@ -63,7 +69,8 @@ THEORETICAL = "theoretical"
 CALIBRATED = "calibrated"
 COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 
-_CHUNK = 512
+# Replications per stream block; part of the determinism contract.
+BLOCK = 512
 _MIN_CALIB_REPS = 1000
 
 
@@ -87,11 +94,12 @@ def _tag_bytes(tag) -> bytes:
 
 
 class ReplicationStreams:
-    """Per-replication counter-based generators for one simulation cell.
+    """Counter-based generators for the blocks of one simulation phase.
 
-    The 128-bit Philox key for replication r is a keyed hash of
-    (master seed, tags..., r), so streams never collide or depend on
-    scheduling order.
+    The tags name the phase, N and n. The 128-bit Philox key of block b
+    is a keyed hash of (master seed, tags..., b), and block b holds
+    replications b * BLOCK .. (b + 1) * BLOCK - 1, so streams never
+    collide or depend on scheduling order or worker count.
     """
 
     def __init__(self, master_seed: int, *tags):
@@ -101,9 +109,9 @@ class ReplicationStreams:
             h.update(_tag_bytes(tag))
         self._base = h
 
-    def rng(self, rep: int) -> np.random.Generator:
+    def rng(self, block: int) -> np.random.Generator:
         h = self._base.copy()
-        h.update(struct.pack("<Q", int(rep)))
+        h.update(_tag_bytes(int(block)))
         key = int.from_bytes(h.digest(), "little")
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -200,10 +208,16 @@ class GridSpec:
     def __post_init__(self):
         if not (self.N_values and self.n_values and self.m_values):
             raise ConfigError("N_values, n_values and m_values must be nonempty")
-        checked = {
+        axes = {
             "N_values": tuple(check_N(N) for N in self.N_values),
             "n_values": tuple(check_int(n, "sample size", 1) for n in self.n_values),
             "m_values": tuple(check_int(m, "truncation order", 4) for m in self.m_values),
+        }
+        for name, values in axes.items():
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has duplicate values: {values}")
+        checked = {
+            **axes,
             "level": check_level(self.level),
             "calib_reps": check_int(self.calib_reps, "calib_reps", _MIN_CALIB_REPS),
             "eval_reps": check_int(self.eval_reps, "eval_reps", 1),
@@ -230,37 +244,44 @@ def _normalize_hypothesis(hypothesis: str) -> str:
     return name
 
 
-def _draw_rows(law, hypothesis, n, count, streams, offset) -> np.ndarray:
-    draw = law.sample if hypothesis == H0 else law.sample_gaussian_alternative
-    x = np.empty((count, n))
-    for j in range(count):
-        x[j] = draw(n, streams.rng(offset + j))
-    return x
+def _blocks(law, hypothesis, n, reps, streams, standardize_first):
+    """Yield (slice, draws) for replications 0..reps-1, one block at a time.
 
-
-def _chunks(law, hypothesis, n, reps, streams, standardize_first):
-    """Yield (slice, draws) for replications 0..reps-1 in bounded chunks.
-
-    This is the one place that decides whether simulated draws are
-    standardised. The raw draws are never bound to a name here, so no
-    frame keeps them alive beside their standardised copy.
+    Block b comes from one vectorised draw from ``streams.rng(b)``, shaped
+    so that replication r is row r % BLOCK of block r // BLOCK. This is
+    the one place that decides whether simulated draws are standardised.
+    The raw draws are never bound to a name here, so no frame keeps them
+    alive beside their standardised copy.
     """
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
+    draw = law.sample if hypothesis == H0 else law.sample_gaussian_alternative
+    for block, start in enumerate(range(0, reps, BLOCK)):
+        count = min(BLOCK, reps - start)
         rows = slice(start, start + count)
         if standardize_first:
-            yield rows, standardize(_draw_rows(law, hypothesis, n, count, streams, start))
+            yield rows, standardize(draw(n * count, streams.rng(block)).reshape(count, n))
         else:
-            yield rows, _draw_rows(law, hypothesis, n, count, streams, start)
+            yield rows, draw(n * count, streams.rng(block)).reshape(count, n)
 
 
 def _collect_statistics(
     config, hypothesis, n, reps, streams, standardize_first=False
 ) -> np.ndarray:
-    out = np.empty(reps)
-    for sl, x in _chunks(config.law, hypothesis, n, reps, streams, standardize_first):
-        out[sl] = batch_statistic(x, config)
+    """Running statistics of every replication, a (len(config.modes), reps)
+    matrix: column r is :func:`running_statistics` of replication r."""
+    out = np.empty((config.dof, reps))
+    for sl, x in _blocks(config.law, hypothesis, n, reps, streams, standardize_first):
+        out[:, sl] = running_statistics(x, config)
     return out
+
+
+def _calibration_statistics(config, n, reps, seed, standardize_first=False) -> np.ndarray:
+    streams = ReplicationStreams(seed, "calibrate", config.N, n)
+    return _collect_statistics(config, H0, n, reps, streams, standardize_first)
+
+
+def _evaluation_statistics(config, n, hypothesis, reps, seed) -> np.ndarray:
+    streams = ReplicationStreams(seed, "evaluate", hypothesis, config.N, n)
+    return _collect_statistics(config, hypothesis, n, reps, streams)
 
 
 def empirical_cutoff(stats, level: float) -> float:
@@ -288,19 +309,14 @@ def calibrate(
     """
     n = check_int(n, "sample size", 1)
     reps = check_int(reps, "calibration replications", _MIN_CALIB_REPS)
-    streams = ReplicationStreams(seed, "calibrate", config.N, n, config.modes)
-    stats = _collect_statistics(config, H0, n, reps, streams, standardize_first)
-    return empirical_cutoff(stats, config.level)
+    stats = _calibration_statistics(config, n, reps, seed, standardize_first)
+    return empirical_cutoff(stats[-1], config.level)
 
 
-def _evaluate(config, n, hypothesis, reps, seed, cutoffs) -> list[PowerRow]:
-    """One PowerRow per (cutoff_source, cutoff) pair in ``cutoffs``.
-
-    The hypothesis's statistics are drawn once, from the cell's
-    "evaluate" streams, and compared against every cutoff.
-    """
-    streams = ReplicationStreams(seed, "evaluate", hypothesis, config.N, n, config.modes)
-    stats = _collect_statistics(config, hypothesis, n, reps, streams)
+def _power_rows(config, n, hypothesis, stats, seed, cutoffs) -> list[PowerRow]:
+    """One PowerRow per (cutoff_source, cutoff) pair in ``cutoffs``, each
+    comparing the same statistics ``stats`` against its cutoff."""
+    reps = stats.size
     return [
         PowerRow(
             N=config.N, n=n, m=config.m, modes=config.modes,
@@ -333,7 +349,8 @@ def estimate_rejection(
         raise ConfigError(f"cutoff_source must be theoretical or calibrated, got {cutoff_source!r}")
     cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
-    (row,) = _evaluate(config, n, hypothesis, reps, seed, ((cutoff_source, cutoff),))
+    stats = _evaluation_statistics(config, n, hypothesis, reps, seed)
+    (row,) = _power_rows(config, n, hypothesis, stats[-1], seed, ((cutoff_source, cutoff),))
     return row
 
 
@@ -341,48 +358,64 @@ def estimate_rejection(
 # Grid runner
 # ----------------------------------------------------------------------
 
-def _grid_cell(args) -> CellResult:
-    spec, (N, n, m) = args
-    config = SteinTestConfig(N=N, m=m, level=spec.level)
-    cutoff_cal = calibrate(n, config, spec.calib_reps, spec.master_seed)
-    cutoff_th = config.theoretical_cutoff()
-    entry = CalibrationEntry(
-        N=N, n=n, m=m, level=spec.level,
-        cutoff=cutoff_cal, reps=spec.calib_reps, seed=spec.master_seed,
-    )
-    cutoffs = ((THEORETICAL, cutoff_th), (CALIBRATED, cutoff_cal))
-    rows = []
-    for hypothesis in (H0, H1):
-        rows += _evaluate(config, n, hypothesis, spec.eval_reps, spec.master_seed, cutoffs)
-    return CellResult(calibration=entry, rows=tuple(rows))
+def _grid_pair(args) -> list[CellResult]:
+    """The cells of every m at one (N, n) pair, in ``spec.m_values`` order.
+
+    Each phase is drawn once and the recurrence runs once, up to the
+    largest m; the T of each m is a row of the running statistics. So
+    every cell equals direct :func:`calibrate` and
+    :func:`estimate_rejection` calls with that m's config.
+    """
+    spec, (N, n) = args
+    seed = spec.master_seed
+    configs = [SteinTestConfig(N=N, m=m, level=spec.level) for m in spec.m_values]
+    widest = max(configs, key=lambda config: config.m)
+    calibration = _calibration_statistics(widest, n, spec.calib_reps, seed)
+    evaluation = {h: _evaluation_statistics(widest, n, h, spec.eval_reps, seed) for h in (H0, H1)}
+    cells = []
+    for config in configs:
+        row = config.dof - 1  # its even modes are a prefix of the widest's
+        cutoff_cal = empirical_cutoff(calibration[row], spec.level)
+        entry = CalibrationEntry(
+            N=config.N, n=n, m=config.m, level=spec.level,
+            cutoff=cutoff_cal, reps=spec.calib_reps, seed=seed,
+        )
+        cutoffs = ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff_cal))
+        rows = []
+        for hypothesis in (H0, H1):
+            rows += _power_rows(config, n, hypothesis, evaluation[hypothesis][row], seed, cutoffs)
+        cells.append(CellResult(calibration=entry, rows=tuple(rows)))
+    return cells
 
 
 def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     """Run every (N, n, m) cell of the grid.
 
-    Cells execute independently (across at most ``workers`` processes,
-    never more than there are cells) and are reduced in deterministic
-    cell order. ``on_cell`` receives each CellResult in that order as it
-    becomes available. Interruption or memory exhaustion yields a
-    truncated but valid result with ``complete=False``.
+    Each (N, n) pair is one task that gives the cells of every m from
+    shared draws. Tasks execute independently (across at most ``workers``
+    processes, never more than there are pairs) and are reduced in
+    deterministic order. ``on_cell`` receives each CellResult in
+    ``spec.cells()`` order as it becomes available. Interruption or memory
+    exhaustion yields a truncated but valid result with ``complete=False``.
     """
-    cells = spec.cells()
-    workers = min(workers, len(cells))
+    pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
+    workers = min(workers, len(pairs))
     results: list[CellResult] = []
     complete = True
 
     def _consume(iterator):
-        for result in iterator:
-            results.append(result)
-            if on_cell is not None:
-                on_cell(result)
+        for cells in iterator:
+            for result in cells:
+                results.append(result)
+                if on_cell is not None:
+                    on_cell(result)
 
     try:
         if workers <= 1:
-            _consume(_grid_cell((spec, cell)) for cell in cells)
+            _consume(map(_grid_pair, pairs))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                _consume(pool.map(_grid_cell, [(spec, cell) for cell in cells]))
+                _consume(pool.map(_grid_pair, pairs))
     except (KeyboardInterrupt, MemoryError):
         complete = False
 
@@ -424,7 +457,7 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
 def _compare_stats(config, hypothesis, n, reps, streams, standardize_first):
     """Per-replication statistics of all four tests on shared draws."""
     out = {name: np.empty(reps) for name in COMPARE_TESTS}
-    for sl, x in _chunks(config.law, hypothesis, n, reps, streams, standardize_first):
+    for sl, x in _blocks(config.law, hypothesis, n, reps, streams, standardize_first):
         out["stein"][sl] = batch_statistic(x, config)
         ks, cvm, ad = batch_edf_statistics(x, config.law)
         out["ks"][sl], out["cvm"][sl], out["ad"][sl] = ks, cvm, ad
@@ -452,10 +485,10 @@ def compare_edf(
     n_values = [check_int(n, "comparison sample size", 2) for n in n_values]
     rows: list[CompareRow] = []
     for n in n_values:
-        cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n, config.modes)
+        cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n)
         null_stats = _compare_stats(config, H0, n, reps, cal_streams, standardize_first)
         cutoffs = {name: empirical_cutoff(null_stats[name], level) for name in COMPARE_TESTS}
-        eval_streams = ReplicationStreams(seed, "compare-evaluate", config.N, n, config.modes)
+        eval_streams = ReplicationStreams(seed, "compare-evaluate", config.N, n)
         alt_stats = _compare_stats(config, H1, n, reps, eval_streams, standardize_first)
         for name in COMPARE_TESTS:
             rejections = int((alt_stats[name] > cutoffs[name]).sum())

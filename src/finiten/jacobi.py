@@ -133,7 +133,9 @@ def sigma_k(alpha: float, k: int) -> float:
         sigma_k^2 = 4 k^2 * G(a+3/2)/(sqrt(pi) G(a+1))
                     * 2^(2a+1)/(2k+2a+1) * G(k+a+1)^2 / (k! G(k+2a+1))
 
-    evaluated entirely in log space so large a and k cannot overflow.
+    evaluated in log space so large a and k cannot overflow before the
+    final exponential. DomainError when sigma_k itself exceeds the float
+    range.
     """
     a = _validate_alpha(alpha, 0.0)
     k = check_int(k, "k", 1)
@@ -149,7 +151,12 @@ def sigma_k(alpha: float, k: int) -> float:
         - gammaln(k + 1.0)
         - gammaln(k + 2.0 * a + 1.0)
     )
-    return math.exp(0.5 * log_sq)
+    try:
+        return math.exp(0.5 * log_sq)
+    except OverflowError:
+        raise DomainError(
+            f"sigma_{k} at alpha={a!r} exceeds the float range (log sigma = {0.5 * log_sq:.6g})"
+        ) from None
 
 
 def stein_apply_rescaled(alpha: float, k: int, y):

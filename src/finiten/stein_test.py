@@ -40,6 +40,7 @@ __all__ = [
     "coefficients",
     "statistic",
     "batch_statistic",
+    "running_statistics",
     "run_test",
 ]
 
@@ -180,23 +181,37 @@ def statistic(values, config: SteinTestConfig) -> float:
     return float(sum(v * v for v in coef.values()))
 
 
-def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
-    """T for every row of a (reps, n) sample matrix.
+def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
+    """Partial sums of T along the mode set, for every row of a (reps, n) matrix.
 
-    Vectorised simulation path used by the Monte Carlo harness; agrees
-    with :func:`statistic` row by row. Rows are used as given; pass them
-    through :func:`standardize` first to test them as :func:`run_test` does.
+    Row i of the (len(config.modes), reps) result sums mu_k^2 over
+    ``config.modes[:i + 1]``, added in mode order. The last row is
+    :func:`batch_statistic`; for the default even modes, row i equals, bit
+    for bit, T of the config whose m is ``config.modes[i]``. So one pass of
+    the recurrence up to the largest m gives T for every smaller m.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_statistic expects a (reps, n) matrix")
     n = x.shape[1]
     sums = _mode_sums(x, config)
+    out = np.empty((config.dof, x.shape[0]))
     t = np.zeros(x.shape[0])
-    for k in config.modes:
+    for i, k in enumerate(config.modes):
         mu = sums[k] / math.sqrt(n)
         t += mu * mu
-    return t
+        out[i] = t
+    return out
+
+
+def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
+    """T for every row of a (reps, n) sample matrix.
+
+    Vectorised form of :func:`statistic`, agreeing with it row by row.
+    Rows are used as given; pass them through :func:`standardize` first to
+    test them as :func:`run_test` does.
+    """
+    return running_statistics(samples, config)[-1]
 
 
 def run_test(values, config: SteinTestConfig, standardize_first: bool = True) -> TestReport:

@@ -238,6 +238,28 @@ def test_grid_reports_progress_per_cell_on_stderr():
     ]
 
 
+def test_grid_rejects_duplicate_m_values_before_running():
+    result = run_cli(
+        "grid", "--N-values", "5", "--n-values", "10", "--m-values", "4,4",
+        "--calib-reps", "1000", "--eval-reps", "500", "--seed", "3",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "finiten: error: m_values has duplicate values: (4, 4)"
+    ]
+
+
+def test_test_command_reports_sigma_overflow_in_one_line():
+    result = run_cli("test", "--N", "1e15", "--m", "100", stdin="0.1 -0.2 0.3\n")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("finiten: error: sigma_")
+    assert "exceeds the float range" in lines[0]
+
+
 def test_grid_rejects_infinite_N_before_running():
     result = run_cli(
         "grid", "--N-values", "5,inf", "--n-values", "10", "--m-values", "4",

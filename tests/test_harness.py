@@ -50,14 +50,35 @@ SANOV_TABLE = {
 
 
 def test_streams_are_deterministic_and_distinct():
-    a = ReplicationStreams(7, "calibrate", 5.0, 100, (4,))
-    b = ReplicationStreams(7, "calibrate", 5.0, 100, (4,))
+    # one stream per (seed, phase, N, n, block)
+    a = ReplicationStreams(7, "calibrate", 5.0, 100)
+    b = ReplicationStreams(7, "calibrate", 5.0, 100)
     assert np.array_equal(a.rng(3).standard_normal(8), b.rng(3).standard_normal(8))
     assert not np.array_equal(a.rng(3).standard_normal(8), a.rng(4).standard_normal(8))
-    other_phase = ReplicationStreams(7, "evaluate", 5.0, 100, (4,))
-    assert not np.array_equal(a.rng(3).standard_normal(8), other_phase.rng(3).standard_normal(8))
-    other_seed = ReplicationStreams(8, "calibrate", 5.0, 100, (4,))
-    assert not np.array_equal(a.rng(3).standard_normal(8), other_seed.rng(3).standard_normal(8))
+    others = [
+        ReplicationStreams(7, "evaluate", 5.0, 100),
+        ReplicationStreams(7, "evaluate", H0, 5.0, 100),
+        ReplicationStreams(7, "evaluate", H1, 5.0, 100),
+        ReplicationStreams(8, "calibrate", 5.0, 100),
+        ReplicationStreams(7, "calibrate", 6.0, 100),
+        ReplicationStreams(7, "calibrate", 5.0, 101),
+    ]
+    first = a.rng(3).standard_normal(8)
+    for other in others:
+        assert not np.array_equal(first, other.rng(3).standard_normal(8))
+
+
+def test_replications_are_a_prefix_of_longer_runs():
+    # 1000 and 1500 both end inside a block (512 * 2 and 512 * 3)
+    assert 1000 % harness.BLOCK and 1500 % harness.BLOCK
+    config = SteinTestConfig(N=5.0, m=6)
+    short = harness._calibration_statistics(config, 20, 1000, 4)
+    long = harness._calibration_statistics(config, 20, 1500, 4)
+    assert np.array_equal(short, long[:, :1000])
+    for hypothesis in (H0, H1):
+        short = harness._evaluation_statistics(config, 20, hypothesis, 1000, 4)
+        long = harness._evaluation_statistics(config, 20, hypothesis, 1500, 4)
+        assert np.array_equal(short, long[:, :1000])
 
 
 def test_empirical_cutoff_order_statistic():
@@ -134,6 +155,15 @@ def test_grid_spec_defaults_follow_protocol():
         GridSpec(calib_reps=10)
 
 
+@pytest.mark.parametrize(
+    "axis, values",
+    [("N_values", (5.0, 20.0, 5)), ("n_values", (10, 50, 10.0)), ("m_values", (4, 4))],
+)
+def test_grid_spec_rejects_duplicate_axis_values(axis, values):
+    with pytest.raises(ConfigError, match=f"{axis} has duplicate values"):
+        GridSpec(**{axis: values})
+
+
 def _tiny_spec(seed=123):
     return GridSpec(
         N_values=(5.0,),
@@ -146,32 +176,41 @@ def _tiny_spec(seed=123):
 
 
 def test_run_grid_composition_matches_direct_calls():
+    # all m of an (N, n) pair share draws, yet each row is what direct
+    # calls with that m's config give
     spec = GridSpec(
-        N_values=(5.0,), n_values=(50,), m_values=(4,),
+        N_values=(5.0,), n_values=(50,), m_values=(4, 6, 10),
         calib_reps=1_000, eval_reps=500, master_seed=99,
     )
     result = run_grid(spec)
     assert result.complete
-    assert len(result.rows) == 4
-    config = SteinTestConfig(N=5.0, m=4, level=spec.level)
-    cutoff = calibrate(50, config, spec.calib_reps, spec.master_seed)
-    assert result.calibration.lookup(5.0, 50, 4).cutoff == cutoff
+    assert len(result.rows) == 4 * len(spec.m_values)
     expected = {}
-    for hypothesis in (H0, H1):
-        for source, value in ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff)):
-            row = estimate_rejection(
-                50, config, hypothesis, value, spec.eval_reps,
-                spec.master_seed, cutoff_source=source,
-            )
-            expected[(hypothesis, source)] = row
+    for m in spec.m_values:
+        config = SteinTestConfig(N=5.0, m=m, level=spec.level)
+        cutoff = calibrate(50, config, spec.calib_reps, spec.master_seed)
+        assert result.calibration.lookup(5.0, 50, m).cutoff == cutoff
+        for hypothesis in (H0, H1):
+            for source, value in ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff)):
+                row = estimate_rejection(
+                    50, config, hypothesis, value, spec.eval_reps,
+                    spec.master_seed, cutoff_source=source,
+                )
+                expected[(m, hypothesis, source)] = row
     for row in result.rows:
-        assert row == expected[(row.hypothesis, row.cutoff_source)]
+        assert row == expected[(row.m, row.hypothesis, row.cutoff_source)]
 
 
 def test_run_grid_worker_count_invariance():
-    spec = _tiny_spec()
+    # several m per (N, n) pair, and replication counts that end inside a block
+    spec = GridSpec(
+        N_values=(5.0, 20.0), n_values=(10, 30), m_values=(4, 6),
+        calib_reps=1_100, eval_reps=700, master_seed=5,
+    )
+    assert spec.calib_reps % harness.BLOCK and spec.eval_reps % harness.BLOCK
     serial = run_grid(spec, workers=1)
     parallel = run_grid(spec, workers=2)
+    assert serial.complete and parallel.complete
     assert grid_result_to_csv(serial) == grid_result_to_csv(parallel)
     assert records_to_csv(CalibrationEntry, serial.calibration.entries) == records_to_csv(
         CalibrationEntry, parallel.calibration.entries
@@ -207,12 +246,12 @@ def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    spec = _tiny_spec()
+    spec = replace(_tiny_spec(), m_values=(4, 6))  # 2 (N, n) pairs, 4 cells
     result = run_grid(spec, workers=64)
-    assert pool_sizes == [len(spec.cells())]
+    assert pool_sizes == [2]
     assert grid_result_to_csv(result) == grid_result_to_csv(run_grid(spec, workers=1))
-    run_grid(replace(spec, n_values=(10,)), workers=64)  # one cell: no pool at all
-    assert pool_sizes == [len(spec.cells())]
+    run_grid(replace(spec, n_values=(10,)), workers=64)  # one pair: no pool at all
+    assert pool_sizes == [2]
 
 
 def test_sanov_table_reproduces_reference_values():
@@ -271,12 +310,12 @@ def test_compare_pipeline_controls_size():
     config = SteinTestConfig(N=N, m=4, level=level)
     cal = _compare_stats(
         config, H0, n, reps,
-        ReplicationStreams(5, "compare-calibrate", N, n, config.modes), True,
+        ReplicationStreams(5, "compare-calibrate", N, n), True,
     )
     cutoffs = {name: empirical_cutoff(cal[name], level) for name in cal}
     fresh = _compare_stats(
         config, H0, n, reps,
-        ReplicationStreams(5, "size-check", N, n, config.modes), True,
+        ReplicationStreams(5, "size-check", N, n), True,
     )
     se = math.sqrt(level * (1 - level) / reps)
     for name, stats in fresh.items():

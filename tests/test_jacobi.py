@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from finiten import FiniteNLaw
+from finiten import FiniteNLaw, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
 from finiten.jacobi import (
     JacobiBasis,
@@ -138,6 +138,15 @@ def test_sigma_domain():
         sigma_k(0.0, 1)
     with pytest.raises(ConfigError):
         sigma_k(1.0, 0)
+
+
+def test_sigma_past_float_range_raises_domain_error():
+    # the log-space sum stays finite; only sigma itself overflows
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        sigma_k((1e15 - 3.0) / 2.0, 100)
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        SteinTestConfig(N=1e8, m=300)
+    assert math.isfinite(sigma_k((1e8 - 3.0) / 2.0, 30))
 
 
 def test_basis_construction():

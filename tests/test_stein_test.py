@@ -14,6 +14,7 @@ from finiten.stein_test import (
     coefficients,
     even_modes,
     run_test,
+    running_statistics,
     standardize,
     statistic,
 )
@@ -221,6 +222,16 @@ def test_batch_statistic_matches_rowwise():
         assert batch_std[j] == pytest.approx(
             statistic(standardize(x[j]), config), rel=1e-10
         )
+
+
+def test_running_statistics_rows_are_each_m_bit_for_bit():
+    # one recurrence up to m = 10 gives T of every smaller m exactly
+    x = _null_matrix(7.0, 40, 30, 405)
+    running = running_statistics(x, SteinTestConfig(N=7, m=10))
+    assert running.shape == (4, 30)
+    for row, m in enumerate((4, 6, 8, 10)):
+        assert np.array_equal(running[row], batch_statistic(x, SteinTestConfig(N=7, m=m)))
+    assert np.array_equal(running[1], running_statistics(x, SteinTestConfig(N=7, m=7))[-1])
 
 
 def test_run_test_report_fields_and_decision():
