@@ -16,7 +16,6 @@ from .errors import (
 )
 from .harness import (
     CalibrationEntry,
-    CalibrationTable,
     CompareRow,
     GridResult,
     GridSpec,
@@ -28,15 +27,7 @@ from .harness import (
     run_grid,
     sanov_table,
 )
-from .jacobi import (
-    JacobiBasis,
-    jacobi_deriv,
-    jacobi_eval_all,
-    jacobi_weight,
-    sigma_k,
-    stein_apply_rescaled,
-    stein_apply_unrescaled,
-)
+from .jacobi import JacobiBasis, jacobi_eval_all, sigma_k
 from .stein_test import (
     SteinTestConfig,
     TestReport,
@@ -60,11 +51,7 @@ __all__ = [
     "ConfigError",
     "JacobiBasis",
     "jacobi_eval_all",
-    "jacobi_deriv",
-    "jacobi_weight",
     "sigma_k",
-    "stein_apply_rescaled",
-    "stein_apply_unrescaled",
     "SteinTestConfig",
     "TestReport",
     "even_modes",
@@ -75,7 +62,6 @@ __all__ = [
     "run_test",
     "GridSpec",
     "CalibrationEntry",
-    "CalibrationTable",
     "PowerRow",
     "CompareRow",
     "GridResult",

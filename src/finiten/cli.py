@@ -19,7 +19,7 @@ import sys
 
 from . import harness
 from .distribution import FiniteNLaw
-from .errors import FiniteNError
+from .errors import FiniteNError, check_int
 from .jacobi import JacobiBasis
 from .stein_test import SteinTestConfig, run_test
 
@@ -49,7 +49,7 @@ def _int_list(text: str) -> list[int]:
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
-        return int(seed)
+        return check_int(seed, "seed", 0)
     drawn = int.from_bytes(os.urandom(8), "little") >> 1
     print(f"seed={drawn}", file=sys.stderr)
     return drawn
@@ -340,7 +340,7 @@ def _cmd_grid(args) -> int:
     if args.calibration_out is not None:
         _write_output(
             args.calibration_out,
-            harness.records_to_csv(harness.CalibrationEntry, result.calibration.entries),
+            harness.records_to_csv(harness.CalibrationEntry, result.calibration),
         )
     return 0
 

@@ -7,7 +7,7 @@ to (1 - x^2/N)^((N-3)/2). It has zero mean and unit variance for every
 N > 3 and converges to the standard normal as N grows.
 
 This module provides density/CDF/quantile evaluation, exact samplers for
-the law and for its Gaussian alternative, likelihoods, the closed-form
+the law and for its Gaussian alternative, the closed-form
 Kullback-Leibler divergence to the standard normal, and the
 large-deviation power proxy 1 - exp(-n * KL).
 """
@@ -126,17 +126,6 @@ class FiniteNLaw:
         n = check_int(n, "sample size", 1)
         return _as_rng(seed).standard_normal(n)
 
-    def log_likelihood(self, values) -> float:
-        """Joint log likelihood of an i.i.d. sample; -inf if any point is
-        outside the open support."""
-        arr = check_finite(values, "sample values")
-        if arr.ndim != 1 or arr.size < 1:
-            raise DomainError("log_likelihood requires a nonempty 1-D sample")
-        inside = 1.0 - (arr * arr) / self.N
-        if np.any(inside <= 0.0):
-            return -math.inf
-        return float(arr.size * self.log_norm + self.alpha * np.log(inside).sum())
-
     def kl_to_gaussian(self) -> float:
         """Exact Kullback-Leibler divergence to the standard normal.
 
@@ -146,25 +135,6 @@ class FiniteNLaw:
         half = self.N / 2.0
         dpsi = _sp.digamma(half - 0.5) - _sp.digamma(half)
         return float(self.log_norm + 0.5 * (1.0 + math.log(2.0 * math.pi)) + self.alpha * dpsi)
-
-    def typical_likelihood_ratio(self, n: int) -> float:
-        """Likelihood ratio in favour of the Gaussian on a typical sample
-        of size n, equal to exp(-n * KL)."""
-        n = check_int(n, "sample size", 0)
-        return math.exp(-n * self.kl_to_gaussian())
-
-    def log_typical_ratio_per_obs(self) -> float:
-        """Per-observation log of the typical likelihood ratio, from the
-        explicit Gamma/digamma bracket (an independent route that must
-        equal -KL)."""
-        half = self.N / 2.0
-        dpsi = _sp.digamma(half - 0.5) - _sp.digamma(half)
-        return float(
-            0.5 * math.log(self.N / (2.0 * math.e))
-            + _sp.gammaln(half - 0.5)
-            - _sp.gammaln(half)
-            - self.alpha * dpsi
-        )
 
     def sanov_power_proxy(self, n: int) -> float:
         """Large-deviation benchmark for achievable test power at sample

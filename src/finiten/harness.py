@@ -41,7 +41,6 @@ __all__ = [
     "ReplicationStreams",
     "GridSpec",
     "CalibrationEntry",
-    "CalibrationTable",
     "PowerRow",
     "CompareRow",
     "CellResult",
@@ -83,13 +82,10 @@ def _tag_bytes(tag) -> bytes:
     if isinstance(tag, str):
         raw = tag.encode("utf-8")
         return b"s" + struct.pack("<I", len(raw)) + raw
-    if isinstance(tag, (bool, int, np.integer)):
-        return b"i" + struct.pack("<q", int(tag))
-    if isinstance(tag, (float, np.floating)):
-        return b"f" + struct.pack("<d", float(tag))
-    if isinstance(tag, tuple):
-        inner = b"".join(_tag_bytes(t) for t in tag)
-        return b"t" + struct.pack("<I", len(tag)) + inner
+    if isinstance(tag, int):
+        return b"i" + struct.pack("<q", tag)
+    if isinstance(tag, float):
+        return b"f" + struct.pack("<d", tag)
     raise ConfigError(f"unsupported stream tag type: {type(tag).__name__}")
 
 
@@ -132,24 +128,6 @@ class CalibrationEntry:
 
 
 @dataclass(frozen=True)
-class CalibrationTable:
-    """Calibrated critical values keyed by (N, n, m, level)."""
-
-    entries: tuple[CalibrationEntry, ...]
-
-    def lookup(self, N: float, n: int, m: int, level: float = 0.05) -> CalibrationEntry:
-        for entry in self.entries:
-            if (
-                entry.N == float(N)
-                and entry.n == int(n)
-                and entry.m == int(m)
-                and entry.level == float(level)
-            ):
-                return entry
-        raise KeyError(f"no calibration entry for (N={N}, n={n}, m={m}, level={level})")
-
-
-@dataclass(frozen=True)
 class PowerRow:
     """One rejection-rate estimate; rejection_rate is rejections/reps exactly."""
 
@@ -182,7 +160,7 @@ class GridResult:
     """All rows of a grid run plus an explicit completeness flag."""
 
     rows: tuple[PowerRow, ...]
-    calibration: CalibrationTable
+    calibration: tuple[CalibrationEntry, ...]
     complete: bool
 
 
@@ -420,8 +398,8 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
         complete = False
 
     rows = tuple(row for cell in results for row in cell.rows)
-    table = CalibrationTable(tuple(cell.calibration for cell in results))
-    return GridResult(rows=rows, calibration=table, complete=complete)
+    calibration = tuple(cell.calibration for cell in results)
+    return GridResult(rows=rows, calibration=calibration, complete=complete)
 
 
 # ----------------------------------------------------------------------
@@ -551,6 +529,6 @@ def grid_result_to_csv(result: GridResult) -> str:
 def grid_result_to_json(result: GridResult) -> dict:
     return {
         "rows": records_to_json(result.rows),
-        "calibration": records_to_json(result.calibration.entries),
+        "calibration": records_to_json(result.calibration),
         "complete": result.complete,
     }

@@ -26,8 +26,9 @@ from finiten.harness import (
     run_grid,
     sanov_table,
 )
-from finiten.jacobi import JacobiBasis, jacobi_deriv, jacobi_eval_all, stein_apply_rescaled
+from finiten.jacobi import JacobiBasis, jacobi_eval_all
 from finiten.stein_test import SteinTestConfig
+from operator_reference import jacobi_deriv, stein_apply_rescaled
 
 MASTER_SEED = 20240801
 

@@ -3,6 +3,10 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from finiten import cli
+
 SIGMA_TABLE_N5 = {
     1: 1.7889, 2: 3.2071, 3: 4.3818, 4: 5.3936, 5: 6.2897,
     6: 7.0993, 7: 7.8416, 8: 8.5298, 9: 9.1736, 10: 9.7802,
@@ -120,6 +124,24 @@ def test_usage_errors_exit_two():
     assert len(result.stderr.strip().splitlines()) == 1
     result = run_cli("sample", "--N", "5", "--n", "10", "--hypothesis", "h3")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--N", "5", "--n", "3"],
+    ["test", "--N", "5", "--cutoff", "calibrated", "--reps", "1000"],
+    ["calibrate", "--N", "5", "--n", "10", "--reps", "1000"],
+    ["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4",
+     "--calib-reps", "1000", "--eval-reps", "10", "--quiet"],
+    ["compare", "--N", "5", "--n-values", "10", "--reps", "1000"],
+], ids=lambda command: command[0])
+def test_negative_seed_exits_two(command, tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("0.1 -0.4 1.2 0.7 -1.1\n")
+    extra = ["--input", str(data)] if command[0] == "test" else []
+    assert cli.main([*command, *extra, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "finiten: error: seed must be an integer >= 0, got -1\n"
 
 
 def test_sigma_table_matches_reference_values():

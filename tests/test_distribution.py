@@ -6,6 +6,7 @@ from scipy import integrate, optimize
 
 from finiten import FiniteNLaw
 from finiten.errors import ConfigError, DomainError
+from operator_reference import log_typical_ratio_per_obs
 
 # mpmath references (40 digits)
 LOG_C5 = -1.092401028668831114739598672606921251266
@@ -131,17 +132,6 @@ def test_gaussian_alternative():
     assert np.array_equal(x, law.sample_gaussian_alternative(n, 99))
 
 
-def test_log_likelihood():
-    law = FiniteNLaw(5)
-    assert law.log_likelihood(np.array([0.0])) == pytest.approx(LOG_C5, abs=1e-13)
-    assert law.log_likelihood(np.array([0.1, math.sqrt(5.0)])) == -math.inf
-    x = law.sample(500, 1)
-    total = sum(law.log_density(v) for v in x)
-    assert law.log_likelihood(x) == pytest.approx(total, abs=1e-12 * abs(total) + 1e-12)
-    with pytest.raises(DomainError):
-        law.log_likelihood(np.array([]))
-
-
 def test_kl_closed_form_values():
     assert FiniteNLaw(5).kl_to_gaussian() == pytest.approx(0.0462, abs=1e-4)
     assert FiniteNLaw(20).kl_to_gaussian() == pytest.approx(0.00208, abs=5e-5)
@@ -168,20 +158,16 @@ def test_kl_decreasing_in_N():
 
 
 def test_typical_likelihood_ratio():
-    law = FiniteNLaw(5)
-    assert law.typical_likelihood_ratio(0) == 1.0
-    value = law.typical_likelihood_ratio(100)
+    # the likelihood ratio in favour of the Gaussian on a typical sample of
+    # size n is exp(-n * KL)
+    value = math.exp(-100 * FiniteNLaw(5).kl_to_gaussian())
     assert value == pytest.approx(math.exp(-4.62), rel=5e-3)
     assert value == pytest.approx(9.9e-3, rel=2e-2)
     # the explicit Gamma/digamma bracket is an independent closed form
     for N in (4.0, 5.0, 12.5, 50.0, 300.0):
         law = FiniteNLaw(N)
-        assert law.log_typical_ratio_per_obs() == pytest.approx(
+        assert log_typical_ratio_per_obs(law) == pytest.approx(
             -law.kl_to_gaussian(), rel=1e-10
-        )
-        n = 100
-        assert law.typical_likelihood_ratio(n) == pytest.approx(
-            math.exp(n * law.log_typical_ratio_per_obs()), rel=1e-10
         )
 
 

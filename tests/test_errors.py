@@ -8,12 +8,7 @@ import pytest
 import finiten
 from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
-from finiten.jacobi import (
-    jacobi_deriv,
-    jacobi_eval_all,
-    sigma_k,
-    stein_apply_rescaled,
-)
+from finiten.jacobi import jacobi_eval_all, sigma_k
 
 N_ENTRY_POINTS = {
     "FiniteNLaw": FiniteNLaw,
@@ -42,14 +37,10 @@ COUNT_ENTRY_POINTS = {
     "FiniteNLaw.sample_gaussian_alternative":
         lambda k: FiniteNLaw(5).sample_gaussian_alternative(k, 0),
     "FiniteNLaw.sanov_power_proxy": lambda k: FiniteNLaw(5).sanov_power_proxy(k),
-    "FiniteNLaw.typical_likelihood_ratio": lambda k: FiniteNLaw(5).typical_likelihood_ratio(k),
     "jacobi_eval_all": lambda k: jacobi_eval_all(1.0, k, 0.5),
-    "jacobi_deriv": lambda k: jacobi_deriv(1.0, k, 0.5),
     "sigma_k": lambda k: sigma_k(1.0, k),
-    "stein_apply_rescaled": lambda k: stein_apply_rescaled(1.0, k, 0.5),
     "JacobiBasis.build": lambda k: JacobiBasis.build(1.0, k),
     "JacobiBasis.psi": lambda k: JacobiBasis.build(1.0, 4).psi(k, 0.5),
-    "JacobiBasis.sigma": lambda k: JacobiBasis.build(1.0, 4).sigma(k),
     "SteinTestConfig.modes": lambda k: SteinTestConfig(N=5, m=6, modes=(k,)),
 }
 

@@ -224,6 +224,17 @@ def test_batch_statistic_matches_rowwise():
         )
 
 
+def test_batch_statistic_rejects_non_finite_rows():
+    config = SteinTestConfig(N=7, m=8)
+    for bad in (math.nan, math.inf):
+        x = _null_matrix(7.0, 20, 5, 406)
+        x[2, 3] = bad
+        with pytest.raises(DomainError, match="sample values must be finite"):
+            batch_statistic(x, config)
+    with pytest.raises(DomainError, match=r"samples must be a \(reps, n\) matrix"):
+        running_statistics(_null_matrix(7.0, 20, 1, 406)[0], config)
+
+
 def test_running_statistics_rows_are_each_m_bit_for_bit():
     # one recurrence up to m = 10 gives T of every smaller m exactly
     x = _null_matrix(7.0, 40, 30, 405)
