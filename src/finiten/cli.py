@@ -19,7 +19,7 @@ import sys
 
 from . import harness
 from .distribution import FiniteNLaw
-from .errors import FiniteNError, check_int
+from .errors import FiniteNError, check_seed
 from .jacobi import JacobiBasis
 from .stein_test import SteinTestConfig, run_test
 
@@ -49,7 +49,7 @@ def _int_list(text: str) -> list[int]:
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
-        return check_int(seed, "seed", 0)
+        return check_seed(seed)
     drawn = int.from_bytes(os.urandom(8), "little") >> 1
     print(f"seed={drawn}", file=sys.stderr)
     return drawn

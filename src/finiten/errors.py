@@ -40,6 +40,13 @@ def check_int(value, what: str, minimum: int) -> int:
     return int(value)
 
 
+def check_seed(seed) -> int:
+    """A master seed as an int; ConfigError unless integral with 0 <= seed < 2**63."""
+    if seed >= 2**63:
+        raise ConfigError(f"seed must be an integer < 2**63, got {seed!r}")
+    return check_int(seed, "seed", 0)
+
+
 def check_level(level) -> float:
     """Test level as a float; ConfigError unless it lies in (0, 1)."""
     value = float(level)

@@ -30,7 +30,9 @@ import numpy as np
 
 from .distribution import FiniteNLaw
 from .edf import batch_edf_statistics
-from .errors import ConfigError, DomainError, check_cutoff, check_int, check_level, check_N
+from .errors import (
+    ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_seed,
+)
 from .stein_test import SteinTestConfig, batch_statistic, running_statistics, standardize
 
 __all__ = [
@@ -100,7 +102,7 @@ class ReplicationStreams:
 
     def __init__(self, master_seed: int, *tags):
         h = hashlib.blake2b(digest_size=16)
-        h.update(_tag_bytes(int(master_seed)))
+        h.update(_tag_bytes(check_seed(master_seed)))
         for tag in tags:
             h.update(_tag_bytes(tag))
         self._base = h
@@ -199,6 +201,7 @@ class GridSpec:
             "level": check_level(self.level),
             "calib_reps": check_int(self.calib_reps, "calib_reps", _MIN_CALIB_REPS),
             "eval_reps": check_int(self.eval_reps, "eval_reps", 1),
+            "master_seed": check_seed(self.master_seed),
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -377,7 +380,7 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     exhaustion yields a truncated but valid result with ``complete=False``.
     """
     pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
-    workers = min(workers, len(pairs))
+    workers = min(check_int(workers, "workers", 1), len(pairs))
     results: list[CellResult] = []
     complete = True
 

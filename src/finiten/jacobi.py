@@ -11,10 +11,11 @@ The first-order operator
 
 has zero expectation under the law for smooth f. Its rescaled form on
 [-1, 1] maps the shifted polynomial g_k = P_{k-1}^(a+1,a+1) onto
--2k * P_k^(a,a), which makes the images mutually orthogonal with
-closed-form norms sigma_k. Dividing by sigma_k yields the orthonormal
-functions psi_k used by the goodness-of-fit statistic. The operator only
-justifies the basis: the statistic needs the recurrence and sigma_k.
+-2k * P_k^(a,a), which makes the images mutually orthogonal with norms
+sigma_k, finite products of square roots. Dividing by sigma_k yields
+the orthonormal functions psi_k used by the goodness-of-fit statistic.
+The operator only justifies the basis: the statistic needs the
+recurrence and sigma_k.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import ConfigError, DomainError, check_finite, check_int, check_N
+from .errors import DomainError, check_finite, check_int, check_N
 
 __all__ = [
     "jacobi_rows",
@@ -83,36 +83,29 @@ def jacobi_eval_all(alpha: float, k_max: int, y):
     return np.stack(list(jacobi_rows(a, k_max, ya)))
 
 
+def _norms(a: float, m: int):
+    """Yield sigma_1 .. sigma_m at alpha = a > 0 (see :func:`sigma_k`)."""
+    product = 1.0
+    for k in range(1, m + 1):
+        product *= (a + k) / math.sqrt(k * (2.0 * a + k))
+        sigma = 2.0 * k * math.sqrt((2.0 * a + 1.0) / (2.0 * k + 2.0 * a + 1.0)) * product
+        if math.isinf(sigma):
+            raise DomainError(f"sigma_{k} at alpha={a!r} exceeds the float range")
+        yield sigma
+
+
 def sigma_k(alpha: float, k: int) -> float:
-    """Norm of the k-th operator image, from the closed form
+    """Norm of the k-th operator image, as the finite product
 
-        sigma_k^2 = 4 k^2 * G(a+3/2)/(sqrt(pi) G(a+1))
-                    * 2^(2a+1)/(2k+2a+1) * G(k+a+1)^2 / (k! G(k+2a+1))
+        sigma_k = 2k sqrt((2a+1)/(2k+2a+1)) * prod_{j<=k} (a+j)/sqrt(j(2a+j))
 
-    evaluated in log space so large a and k cannot overflow before the
-    final exponential. DomainError when sigma_k itself exceeds the float
-    range.
+    to which the duplication formula (DLMF 5.5.5) reduces its Gamma
+    closed form. It is positive and strictly increasing in k for every
+    a > 0. DomainError when sigma_k exceeds the float range.
     """
-    a = _validate_alpha(alpha, 0.0)
-    k = check_int(k, "k", 1)
-    log_sq = (
-        math.log(4.0)
-        + 2.0 * math.log(k)
-        + gammaln(a + 1.5)
-        - 0.5 * math.log(math.pi)
-        - gammaln(a + 1.0)
-        + (2.0 * a + 1.0) * math.log(2.0)
-        - math.log(2.0 * k + 2.0 * a + 1.0)
-        + 2.0 * gammaln(k + a + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(k + 2.0 * a + 1.0)
-    )
-    try:
-        return math.exp(0.5 * log_sq)
-    except OverflowError:
-        raise DomainError(
-            f"sigma_{k} at alpha={a!r} exceeds the float range (log sigma = {0.5 * log_sq:.6g})"
-        ) from None
+    for sigma in _norms(_validate_alpha(alpha, 0.0), check_int(k, "k", 1)):
+        pass
+    return sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +114,7 @@ class JacobiBasis:
 
     psi_k(y) = -(2k / sigma_k) P_k^(a,a)(y); under the rescaled law these
     have zero mean, unit variance, and vanishing cross-correlations. The
-    norms sigma_1 .. sigma_max_order are precomputed once per (alpha, m)
-    pair and checked to be positive and strictly increasing.
+    norms sigma_1 .. sigma_max_order come from one pass of the product.
     """
 
     alpha: float
@@ -133,12 +125,7 @@ class JacobiBasis:
     def build(cls, alpha: float, max_order: int) -> "JacobiBasis":
         a = _validate_alpha(alpha, 0.0)
         m = check_int(max_order, "max_order", 1)
-        sig = np.array([sigma_k(a, k) for k in range(1, m + 1)])
-        if not np.all(np.isfinite(sig)) or np.any(sig <= 0.0):
-            raise ConfigError("sigma sequence is not finite and positive")
-        if np.any(np.diff(sig) <= 0.0):
-            raise ConfigError("sigma sequence is not strictly increasing")
-        return cls(alpha=a, max_order=m, sigmas=sig)
+        return cls(alpha=a, max_order=m, sigmas=np.array(list(_norms(a, m))))
 
     @classmethod
     def for_system(cls, N: float, max_order: int) -> "JacobiBasis":

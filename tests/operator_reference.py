@@ -11,6 +11,9 @@ in extended precision like :func:`finiten.jacobi.jacobi_eval_all`:
 - the rescaled operator applied to g_k = P_{k-1}^(a+1,a+1) must equal
   -2k * P_k^(a,a).
 
+The orthonormal three-term recurrence gives psi_k with no sigma_k, so it
+checks the norms as well as the recurrence behind the coefficients.
+
 The Gamma/digamma bracket of the per-observation log likelihood ratio is
 an independent closed form that must equal -KL.
 """
@@ -60,6 +63,26 @@ def stein_apply_rescaled(alpha: float, k: int, y):
     if np.ndim(y) == 0:
         return float(out)
     return out
+
+
+def orthonormal_psi(alpha: float, k_max: int, y) -> np.ndarray:
+    """psi_1 .. psi_{k_max} at y, shape (k_max,) + shape(y), in long double.
+
+    With b_k = sqrt(k(k+2a) / ((2k+2a-1)(2k+2a+1))), the polynomials
+    orthonormal under the normalised weight satisfy
+    p_{k+1} = (y p_k - b_k p_{k-1}) / b_{k+1}, p_0 = 1, p_1 = y / b_1, and
+    psi_k = -p_k.
+    """
+    a = np.longdouble(alpha)
+    ya = np.asarray(y, dtype=float).astype(np.longdouble)
+
+    def b(k):
+        return np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a - 1) * (2 * k + 2 * a + 1)))
+
+    rows = [np.ones_like(ya), ya / b(1)]
+    for k in range(1, k_max):
+        rows.append((ya * rows[k] - b(k) * rows[k - 1]) / b(k + 1))
+    return -np.stack(rows[1:k_max + 1])
 
 
 def stein_apply_unrescaled(law, f_value, f_deriv, x):

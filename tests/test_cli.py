@@ -124,6 +124,9 @@ def test_usage_errors_exit_two():
     assert len(result.stderr.strip().splitlines()) == 1
     result = run_cli("sample", "--N", "5", "--n", "10", "--hypothesis", "h3")
     assert result.returncode == 2
+    result = run_cli("grid", "--N-values", "5", "--n-values", "10", "--m-values", "4",
+                     "--calib-reps", "1000", "--eval-reps", "10", "--quiet", "--workers", "0")
+    assert result.returncode == 2
 
 
 @pytest.mark.parametrize("command", [
@@ -138,10 +141,11 @@ def test_negative_seed_exits_two(command, tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("0.1 -0.4 1.2 0.7 -1.1\n")
     extra = ["--input", str(data)] if command[0] == "test" else []
-    assert cli.main([*command, *extra, "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "finiten: error: seed must be an integer >= 0, got -1\n"
+    for seed, bound in (("-1", ">= 0"), (str(2**63), "< 2**63")):
+        assert cli.main([*command, *extra, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"finiten: error: seed must be an integer {bound}, got {seed}\n"
 
 
 def test_sigma_table_matches_reference_values():

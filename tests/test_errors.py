@@ -8,6 +8,7 @@ import pytest
 import finiten
 from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
+from finiten.harness import calibrate, compare_edf, estimate_rejection, run_grid
 from finiten.jacobi import jacobi_eval_all, sigma_k
 
 N_ENTRY_POINTS = {
@@ -32,6 +33,20 @@ def test_grid_spec_rejects_fractional_counts():
         GridSpec(n_values=(10.7,))
 
 
+def test_library_seeds_must_be_integers_in_int64_range():
+    config = SteinTestConfig(N=5)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        GridSpec(master_seed=1.5)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        calibrate(10, config, 1000, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        estimate_rejection(10, config, "h0", 3.84, 10, seed=1.5)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        compare_edf(5, [10], reps=1000, seed=2**63)
+
+
+_TINY_GRID = GridSpec(N_values=(5.0,), n_values=(10,), m_values=(4,), calib_reps=1000, eval_reps=10)
+
 COUNT_ENTRY_POINTS = {
     "FiniteNLaw.sample": lambda k: FiniteNLaw(5).sample(k, 0),
     "FiniteNLaw.sample_gaussian_alternative":
@@ -42,6 +57,7 @@ COUNT_ENTRY_POINTS = {
     "JacobiBasis.build": lambda k: JacobiBasis.build(1.0, k),
     "JacobiBasis.psi": lambda k: JacobiBasis.build(1.0, 4).psi(k, 0.5),
     "SteinTestConfig.modes": lambda k: SteinTestConfig(N=5, m=6, modes=(k,)),
+    "run_grid": lambda k: run_grid(_TINY_GRID, workers=k),
 }
 
 

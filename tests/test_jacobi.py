@@ -15,6 +15,18 @@ SIGMA_TABLE_N5 = [
     7.0993, 7.8416, 8.5298, 9.1736, 9.7802,
 ]
 
+# sigma_k at k = 1, 2, 10, 30 from the Gamma closed form in 60-digit mpmath
+SIGMA_MPMATH = {
+    3.5: (1.3363062095621219, 2.1452908258025827, 5.4707402146544284, 9.722308250903093),
+    4.001: (1.5003124726606438, 2.5007083315979456, 6.7302031070184636, 12.116015537385595),
+    5.0: (1.7888543819998318, 3.2071349029490926, 9.7801929384365152, 18.224786888818677),
+    20.0: (4.2485291572496004, 13.799703554128189, 303.5175049676581, 1791.2594166873038),
+    1e2: (9.9, 70.359685147942831, 176129.81867813097, 601090555.03684473),
+    1e4: (99.99, 7070.7142849821071, 1031202876520978.7, 3.6508747770345018e+36),
+    1e6: (999.999, 707106.4276334221, 1.0253532076060074e+25, 3.4331413556873715e+66),
+    1e8: (9999.9999, 70710677.765101364, 1.025294841413975e+35, 3.4310262952438479e+96),
+}
+
 GRID = np.linspace(-1.0, 1.0, 1001)
 
 
@@ -104,6 +116,12 @@ def test_sigma_reference_values():
     assert sigma_k(1.0, 1) == pytest.approx(math.sqrt(3.2), rel=1e-14)
 
 
+@pytest.mark.parametrize("N", sorted(SIGMA_MPMATH))
+def test_sigma_matches_mpmath(N):
+    for k, expected in zip((1, 2, 10, 30), SIGMA_MPMATH[N]):
+        assert sigma_k((N - 3.0) / 2.0, k) == pytest.approx(expected, rel=1e-13)
+
+
 def test_sigma_matches_quadrature():
     # definition route: sigma_k^2 = 4 k^2 * integral of P_k^2 against the weight
     for alpha in (1.0, 3.5, 8.5):
@@ -134,7 +152,7 @@ def test_sigma_domain():
 
 
 def test_sigma_past_float_range_raises_domain_error():
-    # the log-space sum stays finite; only sigma itself overflows
+    # the running product overflows to inf, which raises
     with pytest.raises(DomainError, match="exceeds the float range"):
         sigma_k((1e15 - 3.0) / 2.0, 100)
     with pytest.raises(DomainError, match="exceeds the float range"):
@@ -152,6 +170,9 @@ def test_basis_construction():
     # large systems and orders stay finite and ordered
     big = JacobiBasis.for_system(500.0, 20)
     assert np.all(np.diff(big.sigmas) > 0)
+    for alpha in np.geomspace(1e-6, 5e7, 41):
+        sweep = JacobiBasis.build(alpha, 30)
+        assert sweep.sigmas[0] > 0 and np.all(np.diff(sweep.sigmas) > 0)
     with pytest.raises(DomainError):
         basis.psi(11, 0.0)
     with pytest.raises(ConfigError):

@@ -18,6 +18,7 @@ from finiten.stein_test import (
     standardize,
     statistic,
 )
+from operator_reference import orthonormal_psi
 
 
 def _null_matrix(N, n, reps, seed):
@@ -130,6 +131,19 @@ def test_float64_coefficients_match_extended_psi(N):
     config = SteinTestConfig(N=N, m=m, modes=tuple(range(1, m + 1)))
     x = math.sqrt(N) * np.linspace(-1.0, 1.0, 41)
     psi = np.array([config.basis.psi(k, x / math.sqrt(N)) for k in range(1, m + 1)])
+    coef = np.array([list(coefficients([xi], config).values()) for xi in x]).T
+    scale = np.abs(psi).max(axis=1, keepdims=True)
+    assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("N", [5.0, 20.0, 1e4, 1e6, 1e8])
+def test_coefficients_match_orthonormal_recurrence(N):
+    # psi from the orthonormal recurrence uses no sigma_k, so unlike the
+    # check against basis.psi this one also tests the norms
+    m = 30
+    config = SteinTestConfig(N=N, m=m, modes=tuple(range(1, m + 1)))
+    x = math.sqrt(N) * np.linspace(-1.0, 1.0, 41)
+    psi = orthonormal_psi(config.law.alpha, m, x / math.sqrt(N))
     coef = np.array([list(coefficients([xi], config).values()) for xi in x]).T
     scale = np.abs(psi).max(axis=1, keepdims=True)
     assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
