@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -33,18 +34,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
+def _comma_list(kind, noun: str, text: str) -> list:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a comma list of {noun}, got {text!r}")
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+_float_list = functools.partial(_comma_list, float, "numbers")
+_int_list = functools.partial(_comma_list, int, "integers")
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -61,6 +59,16 @@ def _write_output(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _emit(args, csv_text: str, payload) -> None:
+    """Write a table command's result: the CSV text, or under --format json
+    the payload as one JSON line."""
+    _write_output(args.output, json.dumps(payload) + "\n" if args.format == "json" else csv_text)
+
+
+def _csv_text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _read_numbers(path: str) -> list[float]:
@@ -89,10 +97,22 @@ def _modes_argument(text: str) -> tuple[int, ...] | None:
         raise FiniteNError(f"invalid mode list: {text!r}")
 
 
+def _tail(p, func) -> None:
+    """Close a subparser with the options every subcommand shares, and bind
+    its handler. Added last, so they are listed last in --help."""
+    p.add_argument("--output", default=None)
+    p.set_defaults(func=func)
+
+
+def _table_tail(p, func) -> None:
+    """The tail of a subcommand that writes a table: --format, then _tail."""
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _tail(p, func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="finiten", description=__doc__)
     reference = harness.GridSpec()
-    desk = reference.desk_scale()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a sample, one value per line")
@@ -100,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hypothesis", choices=("h0", "h1"), default="h0")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_sample)
+    _tail(p, _cmd_sample)
 
     p = sub.add_parser("test", help="run the goodness-of-fit test on a sample")
     p.add_argument("--input", default="-", help="path of whitespace-separated numbers, or - for stdin")
@@ -117,23 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-standardize", dest="standardize", action="store_false",
                    help="skip location/scale alignment (data already aligned)")
     p.add_argument("--fail-on-reject", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_test, standardize=True)
+    _table_tail(p, _cmd_test)
 
     p = sub.add_parser("sigma-table", help="normalisation constants sigma_1..sigma_m")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--m", type=int, default=10)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_sigma_table)
+    _table_tail(p, _cmd_sigma_table)
 
     p = sub.add_parser("dist", help="density/CDF/quantile queries")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--x", type=_float_list, default=None, help="comma list of points")
     p.add_argument("--p", type=_float_list, default=None, help="comma list of probabilities")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_dist)
+    _tail(p, _cmd_dist)
 
     p = sub.add_parser("calibrate", help="Monte Carlo critical value under the null")
     p.add_argument("--N", type=float, required=True)
@@ -143,19 +157,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=reference.calib_reps)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_calibrate)
+    _table_tail(p, _cmd_calibrate)
 
+    # the five grid values default to None so that _cmd_grid can tell an
+    # explicit value from a default; it fills in the desk-scale defaults
     p = sub.add_parser("grid", help="size/power rows over an (N, n, m) grid")
-    p.add_argument("--N-values", type=_float_list, default=[5.0, 10.0, 20.0])
-    p.add_argument("--n-values", type=_int_list, default=[10, 50, 100, 500])
-    p.add_argument("--m-values", type=_int_list, default=[4, 6, 8, 10])
+    p.add_argument("--N-values", type=_float_list, default=None)
+    p.add_argument("--n-values", type=_int_list, default=None)
+    p.add_argument("--m-values", type=_int_list, default=None)
     p.add_argument("--full-grid", action="store_true",
                    help="use the full reference grid (N 5..20, n 10..500)")
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--calib-reps", type=int, default=desk.calib_reps)
-    p.add_argument("--eval-reps", type=int, default=desk.eval_reps)
+    p.add_argument("--calib-reps", type=int, default=None)
+    p.add_argument("--eval-reps", type=int, default=None)
     p.add_argument("--full-reps", action="store_true",
                    help=f"use {reference.calib_reps:,} calibration / "
                         f"{reference.eval_reps:,} evaluation replications")
@@ -164,24 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     p.add_argument("--calibration-out", default=None,
                    help="also write the calibration table CSV to this path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_grid)
+    _table_tail(p, _cmd_grid)
 
     p = sub.add_parser("sanov", help="large-deviation power table (deterministic)")
     p.add_argument("--N", type=_float_list, default=[4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0])
     p.add_argument("--n", type=_int_list,
                    default=[10, 50, 100, 200, 400, 600, 800, 1000, 2000])
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_sanov)
+    _table_tail(p, _cmd_sanov)
 
     p = sub.add_parser("boundary", help="smallest n reaching a target power proxy")
     p.add_argument("--N-values", type=_float_list, default=[float(N) for N in range(4, 21)])
     p.add_argument("--target", type=float, default=0.8)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_boundary)
+    _table_tail(p, _cmd_boundary)
 
     p = sub.add_parser("compare", help="calibrated power: targeted test vs EDF baselines")
     p.add_argument("--N", type=float, required=True)
@@ -191,20 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_compare, standardize=True)
+    _table_tail(p, _cmd_compare)
 
     return parser
 
 
 def _cmd_sample(args) -> int:
     law = FiniteNLaw(args.N)
-    seed = _resolve_seed(args.seed)
-    if args.hypothesis == "h0":
-        values = law.sample(args.n, seed)
-    else:
-        values = law.sample_gaussian_alternative(args.n, seed)
+    draw = law.sample if args.hypothesis == "h0" else law.sample_gaussian_alternative
+    values = draw(args.n, _resolve_seed(args.seed))
     _write_output(args.output, "".join(f"{v:.17g}\n" for v in values))
     return 0
 
@@ -213,64 +216,38 @@ def _cmd_test(args) -> int:
     values = _read_numbers(args.input)
     modes = _modes_argument(args.modes)
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
-
-    cutoff_arg = args.cutoff
-    if cutoff_arg == "calibrated":
-        seed = _resolve_seed(args.seed)
+    if args.cutoff == "calibrated":
         # calibrate under the same pipeline the decision will use
-        cutoff = harness.calibrate(
-            len(values), config, args.reps, seed, standardize_first=args.standardize
-        )
-        config = dataclasses.replace(config, cutoff=cutoff)
-    elif cutoff_arg != "theoretical":
+        cutoff = harness.calibrate(len(values), config, args.reps, _resolve_seed(args.seed),
+                                   standardize_first=args.standardize)
+    elif args.cutoff == "theoretical":
+        cutoff = None
+    else:
         try:
-            explicit = float(cutoff_arg)
+            cutoff = float(args.cutoff)
         except ValueError:
-            raise FiniteNError(
-                f"--cutoff must be 'theoretical', 'calibrated', or a number, got {cutoff_arg!r}"
-            )
-        config = dataclasses.replace(config, cutoff=explicit)
-
+            raise FiniteNError("--cutoff must be 'theoretical', 'calibrated', or a number, "
+                               f"got {args.cutoff!r}")
+    if cutoff is not None:
+        config = dataclasses.replace(config, cutoff=cutoff)
     report = run_test(values, config, standardize_first=args.standardize)
 
-    if args.format == "json":
-        text = json.dumps(report.to_dict()) + "\n"
-    else:
-        header = "statistic,dof,cutoff,p_value,reject," + ",".join(
-            f"mu_{k}" for k in config.modes
-        )
-        line = ",".join(
-            [
-                f"{report.statistic:.10g}",
-                str(report.dof),
-                f"{report.cutoff:.10g}",
-                f"{report.p_value:.10g}",
-                "true" if report.reject else "false",
-            ]
-            + [f"{report.coefficients[k]:.10g}" for k in config.modes]
-        )
-        text = header + "\n" + line + "\n"
-    _write_output(args.output, text)
-    if args.fail_on_reject and report.reject:
-        return 1
-    return 0
+    header = ",".join(["statistic,dof,cutoff,p_value,reject", *(f"mu_{k}" for k in config.modes)])
+    line = ",".join(
+        [f"{report.statistic:.10g}", str(report.dof), f"{report.cutoff:.10g}",
+         f"{report.p_value:.10g}", "true" if report.reject else "false"]
+        + [f"{report.coefficients[k]:.10g}" for k in config.modes]
+    )
+    _emit(args, _csv_text([header, line]), report.to_dict())
+    return 1 if args.fail_on_reject and report.reject else 0
 
 
 def _cmd_sigma_table(args) -> int:
     basis = JacobiBasis.for_system(args.N, args.m)
-    if args.format == "json":
-        payload = {
-            "N": args.N,
-            "alpha": basis.alpha,
-            "sigma": {str(k): float(basis.sigmas[k - 1]) for k in range(1, args.m + 1)},
-        }
-        text = json.dumps(payload) + "\n"
-    else:
-        lines = ["k,sigma"]
-        for k in range(1, args.m + 1):
-            lines.append(f"{k},{basis.sigmas[k - 1]:.10g}")
-        text = "\n".join(lines) + "\n"
-    _write_output(args.output, text)
+    sigmas = {k: float(basis.sigmas[k - 1]) for k in range(1, args.m + 1)}
+    csv_text = _csv_text(["k,sigma", *(f"{k},{s:.10g}" for k, s in sigmas.items())])
+    # json.dumps writes the int keys of sigmas as strings
+    _emit(args, csv_text, {"N": args.N, "alpha": basis.alpha, "sigma": sigmas})
     return 0
 
 
@@ -281,15 +258,12 @@ def _cmd_dist(args) -> int:
     lines = []
     if args.x is not None:
         lines.append("x,density,log_density,cdf")
-        for x in args.x:
-            lines.append(
-                f"{x:.10g},{law.density(x):.10g},{law.log_density(x):.10g},{law.cdf(x):.10g}"
-            )
+        lines += [f"{x:.10g},{law.density(x):.10g},{law.log_density(x):.10g},{law.cdf(x):.10g}"
+                  for x in args.x]
     if args.p is not None:
         lines.append("p,quantile")
-        for p in args.p:
-            lines.append(f"{p:.10g},{law.quantile(p):.10g}")
-    _write_output(args.output, "\n".join(lines) + "\n")
+        lines += [f"{p:.10g},{law.quantile(p):.10g}" for p in args.p]
+    _write_output(args.output, _csv_text(lines))
     return 0
 
 
@@ -297,32 +271,34 @@ def _cmd_calibrate(args) -> int:
     modes = _modes_argument(args.modes)
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
     seed = _resolve_seed(args.seed)
-    cutoff = harness.calibrate(args.n, config, args.reps, seed)
     entry = harness.CalibrationEntry(
         N=float(args.N), n=args.n, m=args.m, level=args.level,
-        cutoff=cutoff, reps=args.reps, seed=seed,
+        cutoff=harness.calibrate(args.n, config, args.reps, seed), reps=args.reps, seed=seed,
     )
-    if args.format == "json":
-        text = json.dumps(harness.records_to_json([entry])) + "\n"
-    else:
-        text = harness.records_to_csv(harness.CalibrationEntry, [entry])
-    _write_output(args.output, text)
+    _emit(args, harness.records_to_csv(harness.CalibrationEntry, [entry]),
+          harness.records_to_json([entry]))
     return 0
 
 
+# Desk-scale grid layout; --full-grid takes the reference one from GridSpec.
+_DESK_AXES = {"N_values": (5.0, 10.0, 20.0), "n_values": (10, 50, 100, 500),
+              "m_values": (4, 6, 8, 10)}
+
+
 def _cmd_grid(args) -> int:
-    seed = _resolve_seed(args.seed)
+    desk = harness.GridSpec().desk_scale()
+    desk_reps = {"calib_reps": desk.calib_reps, "eval_reps": desk.eval_reps}
     # fields left out take the reference protocol's defaults from GridSpec
     overrides = {}
-    if not args.full_grid:
-        overrides.update(
-            N_values=tuple(args.N_values),
-            n_values=tuple(args.n_values),
-            m_values=tuple(args.m_values),
-        )
-    if not args.full_reps:
-        overrides.update(calib_reps=args.calib_reps, eval_reps=args.eval_reps)
-    spec = harness.GridSpec(level=args.level, master_seed=seed, **overrides)
+    for flag, full, defaults in (("--full-grid", args.full_grid, _DESK_AXES),
+                                 ("--full-reps", args.full_reps, desk_reps)):
+        given = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
+        if full and given:
+            options = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise FiniteNError(f"{flag} conflicts with {options}")
+        if not full:
+            overrides |= {**defaults, **given}
+    spec = harness.GridSpec(level=args.level, master_seed=_resolve_seed(args.seed), **overrides)
     total = len(spec.cells())
     done = itertools.count(1)
 
@@ -332,64 +308,35 @@ def _cmd_grid(args) -> int:
               file=sys.stderr)
 
     result = harness.run_grid(spec, workers=args.workers, on_cell=None if args.quiet else report)
-    if args.format == "json":
-        text = json.dumps(harness.grid_result_to_json(result)) + "\n"
-    else:
-        text = harness.grid_result_to_csv(result)
-    _write_output(args.output, text)
+    _emit(args, harness.grid_result_to_csv(result), harness.grid_result_to_json(result))
     if args.calibration_out is not None:
-        _write_output(
-            args.calibration_out,
-            harness.records_to_csv(harness.CalibrationEntry, result.calibration),
-        )
+        _write_output(args.calibration_out,
+                      harness.records_to_csv(harness.CalibrationEntry, result.calibration))
     return 0
 
 
 def _cmd_sanov(args) -> int:
-    table = harness.sanov_table(args.N, args.n)
-    if args.format == "json":
-        payload = {
-            "N_values": [float(N) for N in args.N],
-            "n_values": [int(n) for n in args.n],
-            "power": [[float(format(v, ".6g")) for v in row] for row in table],
-        }
-        text = json.dumps(payload) + "\n"
-    else:
-        lines = ["N," + ",".join(str(int(n)) for n in args.n)]
-        for N, row in zip(args.N, table):
-            lines.append(f"{N:g}," + ",".join(format(v, ".6g") for v in row))
-        text = "\n".join(lines) + "\n"
-    _write_output(args.output, text)
+    table = [[format(v, ".6g") for v in row] for row in harness.sanov_table(args.N, args.n)]
+    csv_text = _csv_text([",".join(["N", *map(str, args.n)]),
+                          *(f"{N:g}," + ",".join(row) for N, row in zip(args.N, table))])
+    payload = {"N_values": args.N, "n_values": args.n,
+               "power": [[float(v) for v in row] for row in table]}
+    _emit(args, csv_text, payload)
     return 0
 
 
 def _cmd_boundary(args) -> int:
     pairs = harness.power_boundary(args.N_values, args.target)
-    if args.format == "json":
-        text = json.dumps([{"N": N, "n_star": n} for N, n in pairs]) + "\n"
-    else:
-        lines = ["N,n_star"] + [f"{N:g},{n}" for N, n in pairs]
-        text = "\n".join(lines) + "\n"
-    _write_output(args.output, text)
+    _emit(args, _csv_text(["N,n_star", *(f"{N:g},{n}" for N, n in pairs)]),
+          [{"N": N, "n_star": n} for N, n in pairs])
     return 0
 
 
 def _cmd_compare(args) -> int:
-    seed = _resolve_seed(args.seed)
-    rows = harness.compare_edf(
-        args.N,
-        args.n_values,
-        m=args.m,
-        reps=args.reps,
-        seed=seed,
-        level=args.level,
-        standardize_first=args.standardize,
-    )
-    if args.format == "json":
-        text = json.dumps(harness.records_to_json(rows)) + "\n"
-    else:
-        text = harness.records_to_csv(harness.CompareRow, rows)
-    _write_output(args.output, text)
+    rows = harness.compare_edf(args.N, args.n_values, m=args.m, reps=args.reps,
+                               seed=_resolve_seed(args.seed), level=args.level,
+                               standardize_first=args.standardize)
+    _emit(args, harness.records_to_csv(harness.CompareRow, rows), harness.records_to_json(rows))
     return 0
 
 
@@ -398,10 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FiniteNError as exc:
-        print(f"finiten: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FiniteNError, OSError) as exc:
         print(f"finiten: error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,9 @@ from .edf import batch_edf_statistics
 from .errors import (
     ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_seed,
 )
-from .stein_test import SteinTestConfig, batch_statistic, running_statistics, standardize
+from .stein_test import (
+    SteinTestConfig, _check_standardizable, batch_statistic, running_statistics, standardize,
+)
 
 __all__ = [
     "H0",
@@ -286,10 +288,13 @@ def calibrate(
     Deterministic given the seed. Set ``standardize_first`` to match
     however the statistic will be applied to data; the protocol runs in
     this module leave it off because simulation draws are aligned by
-    construction.
+    construction. With ``standardize_first``, a mode set with mode 1 or 2
+    raises ConfigError, as in :func:`run_test`.
     """
     n = check_int(n, "sample size", 1)
     reps = check_int(reps, "calibration replications", _MIN_CALIB_REPS)
+    if standardize_first:
+        _check_standardizable(config)
     stats = _calibration_statistics(config, n, reps, seed, standardize_first)
     return empirical_cutoff(stats[-1], config.level)
 

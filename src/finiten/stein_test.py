@@ -80,7 +80,7 @@ class SteinTestConfig:
                 raise ConfigError("mode set must be nonempty")
             if len(set(modes)) != len(modes):
                 raise ConfigError(f"mode set has duplicates: {modes}")
-            if any(k < 1 or k > self.m for k in modes):
+            if any(k > self.m for k in modes):
                 raise ConfigError(f"modes must lie in 1..{self.m}, got {modes}")
             object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "level", check_level(self.level))
@@ -143,6 +143,13 @@ def standardize(values) -> np.ndarray:
     if np.any(scale == 0.0):
         raise DegenerateSampleError("sample is constant; no scale information")
     return centred / scale
+
+
+def _check_standardizable(config: SteinTestConfig) -> None:
+    # standardising zeroes mu_1 (psi_1 ~ y) and mu_2 (psi_2 ~ y^2 - 1/N)
+    if 1 in config.modes or 2 in config.modes:
+        raise ConfigError("modes 1 and 2 are zero on a standardised sample; drop them or "
+                          f"skip standardisation, got {config.modes}")
 
 
 def _mode_sums(x: np.ndarray, config: SteinTestConfig) -> dict[int, np.ndarray]:
@@ -229,10 +236,16 @@ def run_test(values, config: SteinTestConfig, standardize_first: bool = True) ->
     (``--no-standardize`` in the CLI); there the chi-squared cutoff keeps
     its level.
 
+    Standardising zeroes mu_1 and mu_2, so on that path a mode set with
+    mode 1 or 2 raises ConfigError.
+
     The p-value is always reported from the chi-squared survival function
     at T; the accept/reject decision uses the resolved cutoff.
     """
-    x = standardize(values) if standardize_first else values
+    x = values
+    if standardize_first:
+        _check_standardizable(config)
+        x = standardize(values)
     coef = coefficients(x, config)
     t = float(sum(v * v for v in coef.values()))
     cutoff = config.resolve_cutoff()

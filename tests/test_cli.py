@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from finiten import cli
+from finiten import FiniteNLaw, cli, harness
 
 SIGMA_TABLE_N5 = {
     1: 1.7889, 2: 3.2071, 3: 4.3818, 4: 5.3936, 5: 6.2897,
@@ -294,3 +294,83 @@ def test_grid_rejects_infinite_N_before_running():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["finiten: error: N must be a finite real > 3, got inf"]
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--N", "5", "--n", "4", "--seed", "1"],
+    ["test", "--N", "5"],
+    ["sigma-table", "--N", "5", "--m", "4"],
+    ["dist", "--N", "5", "--x", "0,1", "--p", "0.5"],
+    ["calibrate", "--N", "5", "--n", "10", "--reps", "1000", "--seed", "1"],
+    ["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4",
+     "--calib-reps", "1000", "--eval-reps", "10", "--seed", "1", "--quiet"],
+    ["sanov", "--N", "5", "--n", "10,100"],
+    ["boundary", "--N-values", "5"],
+    ["compare", "--N", "5", "--n-values", "10", "--reps", "1000", "--seed", "1"],
+], ids=lambda command: command[0])
+def test_output_and_format_options(command, tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("0.1 -0.4 1.2 0.7 -1.1\n")
+    argv = [*command, "--input", str(data)] if command[0] == "test" else command
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+    if command[0] not in ("sample", "dist"):
+        assert cli.main([*argv, "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("\n") and text.count("\n") == 1
+        json.loads(text)
+
+
+@pytest.mark.parametrize("flags, conflict", [
+    (["--full-grid", "--N-values", "5", "--m-values", "4"],
+     "--full-grid conflicts with --N-values, --m-values"),
+    (["--full-reps", "--eval-reps", "10"], "--full-reps conflicts with --eval-reps"),
+], ids=["full-grid", "full-reps"])
+def test_grid_full_flags_refuse_explicit_values(flags, conflict, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("run_grid was called")
+
+    monkeypatch.setattr(harness, "run_grid", no_grid)
+    assert cli.main(["grid", *flags, "--seed", "1", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"finiten: error: {conflict}\n"
+
+
+def test_grid_full_flags_take_reference_values(monkeypatch, capsys):
+    specs = []
+
+    def record(spec, workers, on_cell):
+        specs.append(spec)
+        return harness.GridResult(rows=(), calibration=(), complete=True)
+
+    monkeypatch.setattr(harness, "run_grid", record)
+    for flags in (["--full-grid", "--calib-reps", "1000"], ["--full-reps", "--N-values", "5"], []):
+        assert cli.main(["grid", *flags, "--seed", "1", "--quiet"]) == 0
+    desk = harness.GridSpec().desk_scale()
+    desk_axes = {"N_values": (5.0, 10.0, 20.0), "n_values": (10, 50, 100, 500)}
+    assert specs == [
+        harness.GridSpec(calib_reps=1000, eval_reps=desk.eval_reps, master_seed=1),
+        harness.GridSpec(N_values=(5.0,), n_values=desk_axes["n_values"], master_seed=1),
+        harness.GridSpec(**desk_axes, calib_reps=desk.calib_reps, eval_reps=desk.eval_reps,
+                         master_seed=1),
+    ]
+
+
+def test_test_command_refuses_modes_1_and_2_when_standardising(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{v:.17g}\n" for v in FiniteNLaw(5).sample(500, 7)))
+    argv = ["test", "--input", str(data), "--N", "5", "--m", "4"]
+    calibrated = ["--cutoff", "calibrated", "--reps", "1000", "--seed", "1"]
+    for extra in (["--modes", "1,2,3,4"], ["--modes", "2,4", *calibrated]):
+        assert cli.main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("finiten: error: modes 1 and 2 are zero")
+        assert captured.err.count("\n") == 1
+    assert cli.main([*argv, "--modes", "1,2,3,4", "--no-standardize"]) == 0
+    assert capsys.readouterr().out.startswith("statistic,dof,cutoff,p_value,reject,mu_1,mu_2,")

@@ -472,3 +472,16 @@ def test_calibrated_size_envelope_full_scale():
     cutoff = calibrate(100, config, 50_000, seed=2024)
     row = estimate_rejection(100, config, H0, cutoff, 20_000, seed=2024)
     assert 0.044 <= row.rejection_rate <= 0.057
+
+
+def test_standardised_calibration_refuses_modes_1_and_2_before_drawing(monkeypatch):
+    config = SteinTestConfig(N=5, m=4, modes=(1, 2, 3, 4))
+    assert calibrate(20, config, 1000, 1) > 0.0  # raw draws keep every mode
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(FiniteNLaw, "sample", no_draws)
+    for modes in ((1, 3), (2, 4)):
+        with pytest.raises(ConfigError, match="modes 1 and 2"):
+            calibrate(20, SteinTestConfig(N=5, m=4, modes=modes), 1000, 1, standardize_first=True)

@@ -309,6 +309,18 @@ def test_run_test_standardize_toggle():
     assert raw.statistic == pytest.approx(direct, rel=1e-13)
 
 
+def test_run_test_refuses_modes_1_and_2_on_standardised_path():
+    # standardising zeroes mu_1 and mu_2; counting them in dof would
+    # inflate the chi-squared cutoff with noise-only terms
+    x = FiniteNLaw(5).sample(500, 7)
+    for modes in ((1, 3), (2, 4), (1, 2, 3, 4)):
+        config = SteinTestConfig(N=5, m=4, modes=modes)
+        with pytest.raises(ConfigError, match="modes 1 and 2"):
+            run_test(x, config)
+        assert run_test(x, config, standardize_first=False).dof == len(modes)
+    assert run_test(x, SteinTestConfig(N=5, m=4, modes=(3, 4))).dof == 2
+
+
 def test_rejection_rates_across_seeds():
     # null data at n=500 is rejected at close to the nominal level, while
     # Gaussian data at n=250 is rejected nearly always (N=5, m=4)
