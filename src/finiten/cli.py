@@ -11,6 +11,7 @@ entropy and echoed to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -53,18 +54,29 @@ def _resolve_seed(seed: int | None) -> int:
     return drawn
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _open_output(path: str | None):
+    """Open an output path for writing now, so that a bad path fails before
+    any work: '-' is standard output and None is no output."""
+    if path is None:
+        return contextlib.nullcontext()
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_output(path: str, text: str) -> None:
+    with _open_output(path) as fh:
+        fh.write(text)
+
+
+def _table_text(args, csv_text: str, payload) -> str:
+    """A table command's result: the CSV text, or under --format json the
+    payload as one JSON line."""
+    return json.dumps(payload) + "\n" if args.format == "json" else csv_text
 
 
 def _emit(args, csv_text: str, payload) -> None:
-    """Write a table command's result: the CSV text, or under --format json
-    the payload as one JSON line."""
-    _write_output(args.output, json.dumps(payload) + "\n" if args.format == "json" else csv_text)
+    _write_output(args.output, _table_text(args, csv_text, payload))
 
 
 def _csv_text(lines) -> str:
@@ -100,7 +112,7 @@ def _modes_argument(text: str) -> tuple[int, ...] | None:
 def _tail(p, func) -> None:
     """Close a subparser with the options every subcommand shares, and bind
     its handler. Added last, so they are listed last in --help."""
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default="-")
     p.set_defaults(func=func)
 
 
@@ -307,11 +319,14 @@ def _cmd_grid(args) -> int:
         print(f"cell {next(done)}/{total} (N={entry.N:g}, n={entry.n}, m={entry.m}) done",
               file=sys.stderr)
 
-    result = harness.run_grid(spec, workers=args.workers, on_cell=None if args.quiet else report)
-    _emit(args, harness.grid_result_to_csv(result), harness.grid_result_to_json(result))
-    if args.calibration_out is not None:
-        _write_output(args.calibration_out,
-                      harness.records_to_csv(harness.CalibrationEntry, result.calibration))
+    with _open_output(args.output) as out, _open_output(args.calibration_out) as calibration:
+        result = harness.run_grid(spec, workers=args.workers,
+                                  on_cell=None if args.quiet else report)
+        out.write(_table_text(args, harness.grid_result_to_csv(result),
+                              harness.grid_result_to_json(result)))
+        if calibration is not None:
+            calibration.write(harness.records_to_csv(harness.CalibrationEntry,
+                                                     result.calibration))
     return 0
 
 
@@ -333,10 +348,12 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = harness.compare_edf(args.N, args.n_values, m=args.m, reps=args.reps,
-                               seed=_resolve_seed(args.seed), level=args.level,
-                               standardize_first=args.standardize)
-    _emit(args, harness.records_to_csv(harness.CompareRow, rows), harness.records_to_json(rows))
+    with _open_output(args.output) as out:
+        rows = harness.compare_edf(args.N, args.n_values, m=args.m, reps=args.reps,
+                                   seed=_resolve_seed(args.seed), level=args.level,
+                                   standardize_first=args.standardize)
+        out.write(_table_text(args, harness.records_to_csv(harness.CompareRow, rows),
+                              harness.records_to_json(rows)))
     return 0
 
 

@@ -374,3 +374,24 @@ def test_test_command_refuses_modes_1_and_2_when_standardising(tmp_path, capsys)
         assert captured.err.count("\n") == 1
     assert cli.main([*argv, "--modes", "1,2,3,4", "--no-standardize"]) == 0
     assert capsys.readouterr().out.startswith("statistic,dof,cutoff,p_value,reject,mu_1,mu_2,")
+
+
+@pytest.mark.parametrize("argv, runner", [
+    (["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4", "--output", "{bad}"],
+     "run_grid"),
+    (["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4",
+      "--calibration-out", "{bad}"], "run_grid"),
+    (["compare", "--N", "5", "--n-values", "10", "--output", "{bad}"], "compare_edf"),
+], ids=["grid-output", "grid-calibration-out", "compare-output"])
+def test_unwritable_output_fails_before_any_work(argv, runner, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{runner} was called")
+
+    monkeypatch.setattr(harness, runner, no_run)
+    bad = str(tmp_path / "nodir" / "out.csv")
+    assert cli.main([arg.format(bad=bad) for arg in argv] + ["--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("finiten: error: ") and bad in lines[0]

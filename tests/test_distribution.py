@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from finiten import FiniteNLaw
+from finiten.distribution import _CLOSED_FORM_MAX_N, _TAIL
 from finiten.errors import ConfigError, DomainError
 from operator_reference import log_typical_ratio_per_obs
 
@@ -19,6 +20,33 @@ KL_BY_N = {
 }
 CDF_5_AT_1 = 0.8130495168499705574972843136223786729617
 QUANTILE_5_975 = 1.814348579882527653441103051410860718865
+# mpmath references (60-digit arithmetic at the float value of N, 25 digits
+# kept): N -> (log_norm, KL to the standard normal)
+LOG_NORM_AND_KL = {
+    3.5: (-1.184875711771056479409706, 0.1153313247028346194216293),
+    4.001: (-1.144661759271115420039717, 0.08100895913382850737230215),
+    5.0: (-1.092401028668831114739599, 0.04616519898906557920852864),
+    20.0: (-0.9577370204174944551510502, 0.002076455145119903548210517),
+    1e2: (-0.9264889107198423666273612, 0.00007652146109027843230541076),
+    1e4: (-0.9190135382050477667818299, 7.50150021252100108339767e-9),
+    1e6: (-0.91893928320517274215533, 7.500015000021250021000011e-13),
+    1e8: (-0.9189385407046727917803301, 7.500000150000002125000021e-17),
+}
+
+
+def betainc_cdf(N, x):
+    """The incomplete-Beta CDF, computed as FiniteNLaw.cdf does off the
+    closed form, centre pinned to 0.5."""
+    x = np.asarray(x, dtype=float)
+    a = (N - 1.0) / 2.0
+    z = np.clip((1.0 + x / math.sqrt(N)) / 2.0, 0.0, 1.0)
+    return np.where(x == 0.0, 0.5, special.betainc(a, a, z))
+
+
+def cdf_points(N):
+    bound = math.sqrt(N)
+    grid = np.linspace(-1.02 * bound, 1.02 * bound, 2001)
+    return np.concatenate([grid, [0.0, -bound, bound, -10.0 * bound, 10.0 * bound]])
 
 
 def test_law_fields():
@@ -70,6 +98,61 @@ def test_cdf_monotone():
     grid = np.linspace(-law.support_bound - 1, law.support_bound + 1, 401)
     values = law.cdf(grid)
     assert np.all(np.diff(values) >= 0)
+
+
+def test_closed_form_cdf_matches_betainc_and_is_symmetric():
+    worst_abs = worst_rel = worst_sym = 0.0
+    for N in range(4, _CLOSED_FORM_MAX_N + 1):
+        x = cdf_points(N)
+        got = FiniteNLaw(N).cdf(x)
+        want = betainc_cdf(N, x)
+        worst_abs = max(worst_abs, np.max(np.abs(got - want)))
+        lower = (x <= 0.0) & (want > 0.0)
+        worst_rel = max(worst_rel, np.max(np.abs(got[lower] - want[lower]) / want[lower]))
+        # both tails are the incomplete Beta function itself
+        tail = (want < 0.99 * _TAIL) | (want > 1.0 - 0.99 * _TAIL)
+        assert np.array_equal(got[tail], want[tail]), N
+        assert np.all((got >= 0.0) & (got <= 1.0)), N
+        worst_sym = max(worst_sym, np.max(np.abs(got + FiniteNLaw(N).cdf(-x) - 1.0)))
+    assert worst_abs <= 1e-14
+    assert worst_rel <= 1e-11
+    assert worst_sym <= 1e-14
+
+
+@pytest.mark.parametrize("N", [4, 5, 20, 21, 64, 65, _CLOSED_FORM_MAX_N - 1, _CLOSED_FORM_MAX_N])
+def test_closed_form_cdf_exact_values(N):
+    law = FiniteNLaw(N)
+    bound = law.support_bound
+    assert law.cdf(0.0) == 0.5
+    assert law.cdf(-0.0) == 0.5
+    assert law.cdf(-bound) == 0.0
+    assert law.cdf(bound) == 1.0
+    assert law.cdf(-10.0 * bound) == 0.0
+    assert law.cdf(10.0 * bound) == 1.0
+    values = law.cdf(np.linspace(-bound - 1.0, bound + 1.0, 401))
+    assert np.all(np.diff(values) >= 0.0)
+    assert values[0] == 0.0 and values[-1] == 1.0
+
+
+@pytest.mark.parametrize("N", [5, 20, 20.5])
+def test_cdf_scalar_and_array_inputs_agree(N):
+    law = FiniteNLaw(N)
+    x = np.sort(law.sample(6 * 50, 17).reshape(6, 50), axis=-1)
+    x[0, :3] = (-10.0, 0.0, law.support_bound)
+    matrix = law.cdf(x)
+    assert matrix.shape == (6, 50)
+    assert np.array_equal(law.cdf(x.ravel()), matrix.ravel())
+    for value, expected in zip(x.ravel(), matrix.ravel()):
+        scalar = law.cdf(float(value))
+        assert type(scalar) is float and scalar == expected
+        zero_d = law.cdf(np.array(value))
+        assert type(zero_d) is float and zero_d == expected
+
+
+@pytest.mark.parametrize("N", [3.5, 4.001, 20.5, _CLOSED_FORM_MAX_N + 1, 1000])
+def test_cdf_off_the_closed_form_is_betainc(N):
+    x = cdf_points(N)
+    assert np.array_equal(FiniteNLaw(N).cdf(x), betainc_cdf(N, x))
 
 
 def test_quantile_basics():
@@ -137,6 +220,14 @@ def test_kl_closed_form_values():
     assert FiniteNLaw(20).kl_to_gaussian() == pytest.approx(0.00208, abs=5e-5)
     for N, expected in KL_BY_N.items():
         assert FiniteNLaw(N).kl_to_gaussian() == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("N", sorted(LOG_NORM_AND_KL))
+def test_log_norm_and_kl_match_mpmath(N):
+    log_norm, kl = LOG_NORM_AND_KL[N]
+    law = FiniteNLaw(N)
+    assert law.log_norm == pytest.approx(log_norm, rel=1e-12, abs=0)
+    assert law.kl_to_gaussian() == pytest.approx(kl, rel=1e-12, abs=0)
 
 
 def test_kl_matches_quadrature():

@@ -303,6 +303,40 @@ def test_power_boundary():
         power_boundary((5.0,), 1.0)
 
 
+def test_sanov_and_boundary_monotone_in_N_up_to_1e8():
+    N_values = np.geomspace(4.0, 1e8, 241)
+    kl = [FiniteNLaw(N).kl_to_gaussian() for N in N_values]
+    assert all(0.0 < b < a for a, b in zip(kl, kl[1:]))
+    table = sanov_table(N_values, [10, 1000, 10**6])
+    assert np.all(table > 0.0)
+    assert np.all(np.diff(table, axis=0)[table[1:] < 1.0] < 0.0)
+    sizes = [n for _, n in power_boundary(N_values, 0.8)]
+    assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+    # KL ~ 3/(4 N^2), so n* ~ 4 N^2 log(5) / 3 at large N
+    assert sizes[-1] == pytest.approx(4e16 * math.log(5.0) / 3.0, rel=1e-6)
+
+
+# compare_edf(20, [300, 600], reps=1000) rows as (stein, ks, cvm, ad) powers
+# per n, recorded before the CDF took its closed form for integer N
+PINNED_COMPARE_ROWS = {
+    (3, True): ((0.311, 0.066, 0.066, 0.087), (0.461, 0.082, 0.113, 0.146)),
+    (3, False): ((0.325, 0.048, 0.039, 0.045), (0.484, 0.046, 0.045, 0.047)),
+    (2026, True): ((0.292, 0.068, 0.082, 0.092), (0.443, 0.1, 0.131, 0.174)),
+    (2026, False): ((0.313, 0.044, 0.052, 0.049), (0.434, 0.049, 0.044, 0.052)),
+}
+
+
+@pytest.mark.parametrize("seed, standardize", sorted(PINNED_COMPARE_ROWS))
+def test_compare_edf_rows_are_pinned(seed, standardize):
+    rows = compare_edf(20.0, [300, 600], reps=1000, seed=seed, standardize_first=standardize)
+    expected = [
+        CompareRow(test_name=name, n=n, calibrated_power=power)
+        for n, powers in zip((300, 600), PINNED_COMPARE_ROWS[seed, standardize])
+        for name, power in zip(("stein", "ks", "cvm", "ad"), powers)
+    ]
+    assert rows == expected
+
+
 def test_compare_edf_schema_and_determinism():
     rows = compare_edf(5.0, (50, 100), m=4, reps=1_000, seed=3)
     assert [(r.test_name, r.n) for r in rows] == [
