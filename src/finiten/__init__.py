@@ -7,7 +7,6 @@ reproducible Monte Carlo harness for calibration, size, and power.
 """
 
 from .distribution import FiniteNLaw
-from .edf import EdfStatistics, edf_statistics
 from .errors import (
     ConfigError,
     DegenerateSampleError,
@@ -27,7 +26,7 @@ from .harness import (
     run_grid,
     sanov_table,
 )
-from .jacobi import JacobiBasis, jacobi_eval_all, sigma_k
+from .jacobi import JacobiBasis, jacobi_eval_all
 from .stein_test import (
     SteinTestConfig,
     TestReport,
@@ -36,28 +35,23 @@ from .stein_test import (
     even_modes,
     run_test,
     standardize,
-    statistic,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FiniteNLaw",
-    "EdfStatistics",
-    "edf_statistics",
     "FiniteNError",
     "DomainError",
     "DegenerateSampleError",
     "ConfigError",
     "JacobiBasis",
     "jacobi_eval_all",
-    "sigma_k",
     "SteinTestConfig",
     "TestReport",
     "even_modes",
     "standardize",
     "coefficients",
-    "statistic",
     "batch_statistic",
     "run_test",
     "GridSpec",

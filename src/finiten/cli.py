@@ -292,18 +292,18 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-# Desk-scale grid layout; --full-grid takes the reference one from GridSpec.
+# Desk-scale grid layout and replication counts; --full-grid and
+# --full-reps take the reference ones from GridSpec.
 _DESK_AXES = {"N_values": (5.0, 10.0, 20.0), "n_values": (10, 50, 100, 500),
               "m_values": (4, 6, 8, 10)}
+_DESK_REPS = {"calib_reps": 5_000, "eval_reps": 2_000}
 
 
 def _cmd_grid(args) -> int:
-    desk = harness.GridSpec().desk_scale()
-    desk_reps = {"calib_reps": desk.calib_reps, "eval_reps": desk.eval_reps}
     # fields left out take the reference protocol's defaults from GridSpec
     overrides = {}
     for flag, full, defaults in (("--full-grid", args.full_grid, _DESK_AXES),
-                                 ("--full-reps", args.full_reps, desk_reps)):
+                                 ("--full-reps", args.full_reps, _DESK_REPS)):
         given = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
         if full and given:
             options = ", ".join("--" + name.replace("_", "-") for name in given)

@@ -90,12 +90,6 @@ def _log_gamma_half_step(x: float) -> float:
     return _horner(_HALF_STEP, 1.0 / (x * x)) / x
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class FiniteNLaw:
     """Velocity-component law for effective particle number N > 3.
@@ -233,7 +227,7 @@ class FiniteNLaw:
         seed (an int, SeedSequence, or Generator).
         """
         n = check_int(n, "sample size", 1)
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)
         a = self._beta_shape
         b = rng.beta(a, a, size=n)
         return self.support_bound * (2.0 * b - 1.0)
@@ -246,7 +240,7 @@ class FiniteNLaw:
         exceed sqrt(N).
         """
         n = check_int(n, "sample size", 1)
-        return _as_rng(seed).standard_normal(n)
+        return np.random.default_rng(seed).standard_normal(n)
 
     def kl_to_gaussian(self) -> float:
         """Exact Kullback-Leibler divergence to the standard normal.

@@ -10,54 +10,24 @@ tables are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, check_finite
 
-__all__ = ["EdfStatistics", "edf_statistics", "batch_edf_statistics"]
+__all__ = ["batch_edf_statistics"]
 
 # Probability transforms are clamped away from {0, 1} before logs; raw
 # support-edge points otherwise send the Anderson-Darling sum to -inf.
 _LOG_CLAMP = 1e-15
 
 
-@dataclass(frozen=True)
-class EdfStatistics:
-    """The three classical statistics for one sample."""
-
-    ks: float
-    cvm: float
-    ad: float
-
-
-def _transforms(samples: np.ndarray, law) -> np.ndarray:
-    ordered = np.sort(samples, axis=-1)
-    return law.cdf(ordered)
-
-
-def edf_statistics(values, law) -> EdfStatistics:
-    """Compute KS, CvM, and AD statistics of a sample against the law.
-
-    The sample is used as given; when location and scale were estimated
-    (standardised data), calibrate critical values under the null with
-    the identical treatment.
-    """
-    x = check_finite(values, "sample values")
-    if x.ndim != 1 or x.size < 1:
-        raise DomainError("edf_statistics requires a nonempty 1-D sample")
-    ks, cvm, ad = batch_edf_statistics(x[None, :], law)
-    return EdfStatistics(ks=float(ks[0]), cvm=float(cvm[0]), ad=float(ad[0]))
-
-
 def batch_edf_statistics(samples, law) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """KS, CvM, and AD statistics for every row of a (reps, n) matrix."""
-    x = np.asarray(samples, dtype=float)
+    x = check_finite(samples, "sample values")
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_edf_statistics expects a (reps, n) matrix")
     n = x.shape[1]
-    u = _transforms(x, law)
+    u = law.cdf(np.sort(x, axis=-1))
     i = np.arange(1, n + 1, dtype=float)
 
     ks = np.maximum(i / n - u, u - (i - 1.0) / n).max(axis=-1)

@@ -25,9 +25,17 @@ class ConfigError(FiniteNError, ValueError):
     """Inconsistent or unsupported configuration."""
 
 
+def _as_float(value) -> float:
+    """float(value), with an integer beyond the float range taken as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_N(N) -> float:
     """Effective particle number as a float; DomainError unless finite and > 3."""
-    value = float(N)
+    value = _as_float(N)
     if not math.isfinite(value) or value <= 3.0:
         raise DomainError(f"N must be a finite real > 3, got {N!r}")
     return value
@@ -35,7 +43,7 @@ def check_N(N) -> float:
 
 def check_int(value, what: str, minimum: int) -> int:
     """An integral count as an int; ConfigError if fractional or below minimum."""
-    if not float(value).is_integer() or value < minimum:
+    if not _as_float(value).is_integer() or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -49,7 +57,7 @@ def check_seed(seed) -> int:
 
 def check_level(level) -> float:
     """Test level as a float; ConfigError unless it lies in (0, 1)."""
-    value = float(level)
+    value = _as_float(level)
     if not 0.0 < value < 1.0:
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
     return value
@@ -57,7 +65,7 @@ def check_level(level) -> float:
 
 def check_cutoff(cutoff) -> float:
     """Critical value as a float; ConfigError unless finite and positive."""
-    value = float(cutoff)
+    value = _as_float(cutoff)
     if not math.isfinite(value) or value <= 0.0:
         raise ConfigError(f"cutoff must be a finite positive real, got {cutoff!r}")
     return value
@@ -65,7 +73,10 @@ def check_cutoff(cutoff) -> float:
 
 def check_finite(values, what: str) -> np.ndarray:
     """values as a float array; DomainError if any entry is nan or infinite."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        arr = np.array(math.inf)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     return arr

@@ -24,7 +24,8 @@ import hashlib
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -208,10 +209,6 @@ class GridSpec:
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
-    def desk_scale(self) -> "GridSpec":
-        """Same grid with replication counts sized for a desk run."""
-        return replace(self, calib_reps=5_000, eval_reps=2_000)
-
     def cells(self) -> list[tuple[float, int, int]]:
         return [(N, n, m) for N in self.N_values for n in self.n_values for m in self.m_values]
 
@@ -228,7 +225,7 @@ def _normalize_hypothesis(hypothesis: str) -> str:
 
 
 def _blocks(law, hypothesis, n, reps, streams, standardize_first):
-    """Yield (slice, draws) for replications 0..reps-1, one block at a time.
+    """Yield the draws of replications 0..reps-1, one block at a time.
 
     Block b comes from one vectorised draw from ``streams.rng(b)``, shaped
     so that replication r is row r % BLOCK of block r // BLOCK. This is
@@ -237,34 +234,30 @@ def _blocks(law, hypothesis, n, reps, streams, standardize_first):
     alive beside their standardised copy.
     """
     draw = law.sample if hypothesis == H0 else law.sample_gaussian_alternative
+    prepare = standardize if standardize_first else np.asarray
     for block, start in enumerate(range(0, reps, BLOCK)):
         count = min(BLOCK, reps - start)
-        rows = slice(start, start + count)
-        if standardize_first:
-            yield rows, standardize(draw(n * count, streams.rng(block)).reshape(count, n))
-        else:
-            yield rows, draw(n * count, streams.rng(block)).reshape(count, n)
+        yield prepare(draw(n * count, streams.rng(block)).reshape(count, n))
 
 
 def _collect_statistics(
-    config, hypothesis, n, reps, streams, standardize_first=False
+    kernel, config, hypothesis, n, reps, streams, standardize_first=False
 ) -> np.ndarray:
-    """Running statistics of every replication, a (len(config.modes), reps)
-    matrix: column r is :func:`running_statistics` of replication r."""
-    out = np.empty((config.dof, reps))
-    for sl, x in _blocks(config.law, hypothesis, n, reps, streams, standardize_first):
-        out[:, sl] = running_statistics(x, config)
-    return out
+    """The one Monte Carlo draw loop: ``kernel(x, config)`` of every block of
+    draws x, joined along the last axis, so column r belongs to
+    replication r."""
+    blocks = _blocks(config.law, hypothesis, n, reps, streams, standardize_first)
+    return np.concatenate([kernel(x, config) for x in blocks], axis=-1)
 
 
 def _calibration_statistics(config, n, reps, seed, standardize_first=False) -> np.ndarray:
     streams = ReplicationStreams(seed, "calibrate", config.N, n)
-    return _collect_statistics(config, H0, n, reps, streams, standardize_first)
+    return _collect_statistics(running_statistics, config, H0, n, reps, streams, standardize_first)
 
 
 def _evaluation_statistics(config, n, hypothesis, reps, seed) -> np.ndarray:
     streams = ReplicationStreams(seed, "evaluate", hypothesis, config.N, n)
-    return _collect_statistics(config, hypothesis, n, reps, streams)
+    return _collect_statistics(running_statistics, config, hypothesis, n, reps, streams)
 
 
 def empirical_cutoff(stats, level: float) -> float:
@@ -381,8 +374,9 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     shared draws. Tasks execute independently (across at most ``workers``
     processes, never more than there are pairs) and are reduced in
     deterministic order. ``on_cell`` receives each CellResult in
-    ``spec.cells()`` order as it becomes available. Interruption or memory
-    exhaustion yields a truncated but valid result with ``complete=False``.
+    ``spec.cells()`` order as it becomes available. Interruption, memory
+    exhaustion or a lost worker process yields a truncated but valid result
+    with ``complete=False``.
     """
     pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
     workers = min(check_int(workers, "workers", 1), len(pairs))
@@ -402,7 +396,7 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 _consume(pool.map(_grid_pair, pairs))
-    except (KeyboardInterrupt, MemoryError):
+    except (KeyboardInterrupt, MemoryError, BrokenProcessPool):
         complete = False
 
     rows = tuple(row for cell in results for row in cell.rows)
@@ -440,14 +434,10 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
 # EDF comparison
 # ----------------------------------------------------------------------
 
-def _compare_stats(config, hypothesis, n, reps, streams, standardize_first):
-    """Per-replication statistics of all four tests on shared draws."""
-    out = {name: np.empty(reps) for name in COMPARE_TESTS}
-    for sl, x in _blocks(config.law, hypothesis, n, reps, streams, standardize_first):
-        out["stein"][sl] = batch_statistic(x, config)
-        ks, cvm, ad = batch_edf_statistics(x, config.law)
-        out["ks"][sl], out["cvm"][sl], out["ad"][sl] = ks, cvm, ad
-    return out
+def _compare_kernel(x, config) -> np.ndarray:
+    """T and the KS, CvM and AD statistics of every row of x, as a
+    (4, reps) matrix in ``COMPARE_TESTS`` order."""
+    return np.vstack([batch_statistic(x, config), *batch_edf_statistics(x, config.law)])
 
 
 def compare_edf(
@@ -472,13 +462,16 @@ def compare_edf(
     rows: list[CompareRow] = []
     for n in n_values:
         cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n)
-        null_stats = _compare_stats(config, H0, n, reps, cal_streams, standardize_first)
-        cutoffs = {name: empirical_cutoff(null_stats[name], level) for name in COMPARE_TESTS}
+        null_stats = _collect_statistics(
+            _compare_kernel, config, H0, n, reps, cal_streams, standardize_first)
+        cutoffs = [empirical_cutoff(stats, level) for stats in null_stats]
         eval_streams = ReplicationStreams(seed, "compare-evaluate", config.N, n)
-        alt_stats = _compare_stats(config, H1, n, reps, eval_streams, standardize_first)
-        for name in COMPARE_TESTS:
-            rejections = int((alt_stats[name] > cutoffs[name]).sum())
-            rows.append(CompareRow(test_name=name, n=n, calibrated_power=rejections / reps))
+        alt_stats = _collect_statistics(
+            _compare_kernel, config, H1, n, reps, eval_streams, standardize_first)
+        rows += [
+            CompareRow(test_name=name, n=n, calibrated_power=int((stats > cutoff).sum()) / reps)
+            for name, stats, cutoff in zip(COMPARE_TESTS, alt_stats, cutoffs)
+        ]
     return rows
 
 

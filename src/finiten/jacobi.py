@@ -30,7 +30,6 @@ from .errors import DomainError, check_finite, check_int, check_N
 __all__ = [
     "jacobi_rows",
     "jacobi_eval_all",
-    "sigma_k",
     "JacobiBasis",
 ]
 
@@ -84,7 +83,15 @@ def jacobi_eval_all(alpha: float, k_max: int, y):
 
 
 def _norms(a: float, m: int):
-    """Yield sigma_1 .. sigma_m at alpha = a > 0 (see :func:`sigma_k`)."""
+    """Yield sigma_1 .. sigma_m, the norms of the operator images at
+    alpha = a > 0, each as the finite product
+
+        sigma_k = 2k sqrt((2a+1)/(2k+2a+1)) * prod_{j<=k} (a+j)/sqrt(j(2a+j))
+
+    to which the duplication formula (DLMF 5.5.5) reduces its Gamma
+    closed form. They are positive and strictly increasing in k for every
+    a > 0. DomainError when sigma_k exceeds the float range.
+    """
     product = 1.0
     for k in range(1, m + 1):
         product *= (a + k) / math.sqrt(k * (2.0 * a + k))
@@ -92,20 +99,6 @@ def _norms(a: float, m: int):
         if math.isinf(sigma):
             raise DomainError(f"sigma_{k} at alpha={a!r} exceeds the float range")
         yield sigma
-
-
-def sigma_k(alpha: float, k: int) -> float:
-    """Norm of the k-th operator image, as the finite product
-
-        sigma_k = 2k sqrt((2a+1)/(2k+2a+1)) * prod_{j<=k} (a+j)/sqrt(j(2a+j))
-
-    to which the duplication formula (DLMF 5.5.5) reduces its Gamma
-    closed form. It is positive and strictly increasing in k for every
-    a > 0. DomainError when sigma_k exceeds the float range.
-    """
-    for sigma in _norms(_validate_alpha(alpha, 0.0), check_int(k, "k", 1)):
-        pass
-    return sigma
 
 
 @dataclass(frozen=True, eq=False)

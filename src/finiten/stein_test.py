@@ -38,7 +38,6 @@ __all__ = [
     "TestReport",
     "standardize",
     "coefficients",
-    "statistic",
     "batch_statistic",
     "running_statistics",
     "run_test",
@@ -152,20 +151,23 @@ def _check_standardizable(config: SteinTestConfig) -> None:
                           f"skip standardisation, got {config.modes}")
 
 
-def _mode_sums(x: np.ndarray, config: SteinTestConfig) -> dict[int, np.ndarray]:
-    """Sum of psi_k(x / sqrt(N)) over the last axis of x, for each mode.
-
-    Runs the recurrence once up to the largest mode in float64; x may be
-    (n,) or (reps, n).
-    """
-    y = x / math.sqrt(config.N)
+def _mode_coefficients(x: np.ndarray, config: SteinTestConfig) -> np.ndarray:
+    """mu_k of every row of a (reps, n) matrix, as a (dof, reps) matrix in
+    mode order: the one kernel behind every coefficient and statistic. Runs
+    the recurrence once, in float64, up to the largest mode."""
     basis = config.basis
-    wanted = frozenset(config.modes)
-    return {
-        k: (-(2.0 * k / basis.sigmas[k - 1]) * p).sum(axis=-1)
-        for k, p in enumerate(jacobi_rows(basis.alpha, max(wanted), y))
-        if k in wanted
-    }
+    row_of = {k: i for i, k in enumerate(config.modes)}
+    root_n = math.sqrt(x.shape[1])
+    mu = np.empty((config.dof, x.shape[0]))
+    for k, p in enumerate(jacobi_rows(basis.alpha, max(config.modes), x / math.sqrt(config.N))):
+        if k in row_of:
+            mu[row_of[k]] = (-(2.0 * k / basis.sigmas[k - 1]) * p).sum(axis=-1) / root_n
+    return mu
+
+
+def _running(mu: np.ndarray) -> np.ndarray:
+    """Partial sums of mu_k^2 down the mode axis, in mode order; the last row is T."""
+    return np.cumsum(mu * mu, axis=0)
 
 
 def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
@@ -177,15 +179,7 @@ def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     x = check_finite(values, "sample values")
     if x.ndim != 1 or x.size < 1:
         raise DomainError("coefficients expects a nonempty 1-D sample")
-    root_n = math.sqrt(x.size)
-    sums = _mode_sums(x, config)
-    return {k: float(sums[k]) / root_n for k in config.modes}
-
-
-def statistic(values, config: SteinTestConfig) -> float:
-    """Quadratic statistic T = sum of mu_k^2 over the configured modes."""
-    coef = coefficients(values, config)
-    return float(sum(v * v for v in coef.values()))
+    return dict(zip(config.modes, _mode_coefficients(x[None, :], config)[:, 0].tolist()))
 
 
 def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
@@ -200,21 +194,12 @@ def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarr
     x = check_finite(samples, "sample values")
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("samples must be a (reps, n) matrix with n >= 1")
-    n = x.shape[1]
-    sums = _mode_sums(x, config)
-    out = np.empty((config.dof, x.shape[0]))
-    t = np.zeros(x.shape[0])
-    for i, k in enumerate(config.modes):
-        mu = sums[k] / math.sqrt(n)
-        t += mu * mu
-        out[i] = t
-    return out
+    return _running(_mode_coefficients(x, config))
 
 
 def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
-    """T for every row of a (reps, n) sample matrix.
+    """T = sum of mu_k^2 over the modes, for every row of a (reps, n) matrix.
 
-    Vectorised form of :func:`statistic`, agreeing with it row by row.
     Rows are used as given; pass them through :func:`standardize` first to
     test them as :func:`run_test` does.
     """
@@ -247,7 +232,7 @@ def run_test(values, config: SteinTestConfig, standardize_first: bool = True) ->
         _check_standardizable(config)
         x = standardize(values)
     coef = coefficients(x, config)
-    t = float(sum(v * v for v in coef.values()))
+    t = float(_running(np.fromiter(coef.values(), float))[-1])
     cutoff = config.resolve_cutoff()
     p_value = float(chdtrc(config.dof, t))
     return TestReport(

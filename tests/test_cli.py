@@ -286,6 +286,25 @@ def test_test_command_reports_sigma_overflow_in_one_line():
     assert "exceeds the float range" in lines[0]
 
 
+_HUGE = str(10**400)  # an integer too large for a float
+
+
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--N", "5", "--n", "10", "--reps", _HUGE, "--seed", "1"],
+    ["sanov", "--n", _HUGE],
+    ["sample", "--N", "5", "--n", _HUGE, "--seed", "1"],
+    ["sigma-table", "--N", "5", "--m", _HUGE],
+    ["grid", "--n-values", _HUGE, "--seed", "1"],
+    ["compare", "--N", "5", "--n-values", "10", "--reps", _HUGE, "--seed", "1"],
+], ids=lambda command: command[0])
+def test_counts_too_large_for_a_float_exit_two(command, capsys):
+    assert cli.main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("finiten: error: ") and captured.err.count("\n") == 1
+    assert "must be an integer" in captured.err
+
+
 def test_grid_rejects_infinite_N_before_running():
     result = run_cli(
         "grid", "--N-values", "5,inf", "--n-values", "10", "--m-values", "4",
@@ -351,13 +370,12 @@ def test_grid_full_flags_take_reference_values(monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_grid", record)
     for flags in (["--full-grid", "--calib-reps", "1000"], ["--full-reps", "--N-values", "5"], []):
         assert cli.main(["grid", *flags, "--seed", "1", "--quiet"]) == 0
-    desk = harness.GridSpec().desk_scale()
     desk_axes = {"N_values": (5.0, 10.0, 20.0), "n_values": (10, 50, 100, 500)}
     assert specs == [
-        harness.GridSpec(calib_reps=1000, eval_reps=desk.eval_reps, master_seed=1),
+        harness.GridSpec(calib_reps=1000, eval_reps=2_000, master_seed=1),
         harness.GridSpec(N_values=(5.0,), n_values=desk_axes["n_values"], master_seed=1),
-        harness.GridSpec(**desk_axes, calib_reps=desk.calib_reps, eval_reps=desk.eval_reps,
-                         master_seed=1),
+        # the desk grid runs 5,000 calibration and 2,000 evaluation replications
+        harness.GridSpec(**desk_axes, calib_reps=5_000, eval_reps=2_000, master_seed=1),
     ]
 
 

@@ -71,6 +71,8 @@ def test_log_density_values():
     assert law.log_density(0.0) == pytest.approx(math.log(0.75 / math.sqrt(5.0)), abs=1e-13)
     with pytest.raises(DomainError):
         law.log_density(math.nan)
+    with pytest.raises(DomainError, match="must be finite"):
+        law.log_density([0.5, 10**400])  # an integer too large for a float
 
 
 def test_density_normalization_and_moments():

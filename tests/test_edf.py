@@ -4,54 +4,62 @@ import numpy as np
 import pytest
 
 from finiten import FiniteNLaw
-from finiten.edf import EdfStatistics, batch_edf_statistics, edf_statistics
+from finiten.edf import batch_edf_statistics
 from finiten.errors import DomainError
+
+
+def _stats(values, law):
+    """KS, CvM and AD of one sample, as one row of the batch kernel."""
+    ks, cvm, ad = batch_edf_statistics(np.asarray(values, dtype=float)[None, :], law)
+    return float(ks[0]), float(cvm[0]), float(ad[0])
 
 
 def test_single_median_point():
     law = FiniteNLaw(5)
-    stats = edf_statistics(np.array([0.0]), law)  # F(0) = 0.5 exactly
-    assert stats.ks == pytest.approx(0.5, abs=0)
-    assert stats.cvm == pytest.approx(1.0 / 12.0, abs=1e-15)
-    assert stats.ad == pytest.approx(-1.0 + 2.0 * math.log(2.0), abs=1e-12)
+    ks, cvm, ad = _stats([0.0], law)  # F(0) = 0.5 exactly
+    assert ks == pytest.approx(0.5, abs=0)
+    assert cvm == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert ad == pytest.approx(-1.0 + 2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_perfect_quantile_sample():
     law = FiniteNLaw(5)
     n = 64
     x = np.array([law.quantile((2 * i - 1) / (2 * n)) for i in range(1, n + 1)])
-    stats = edf_statistics(x, law)
-    assert stats.cvm == pytest.approx(1.0 / (12.0 * n), abs=1e-8)
-    assert stats.ks == pytest.approx(1.0 / (2.0 * n), abs=1e-8)
+    ks, cvm, _ = _stats(x, law)
+    assert cvm == pytest.approx(1.0 / (12.0 * n), abs=1e-8)
+    assert ks == pytest.approx(1.0 / (2.0 * n), abs=1e-8)
 
 
 def test_bounds_and_validation():
     law = FiniteNLaw(5)
     x = law.sample(200, 5)
-    stats = edf_statistics(x, law)
-    assert 0.0 <= stats.ks <= 1.0
-    assert stats.cvm >= 1.0 / (12.0 * 200) - 1e-12
-    assert math.isfinite(stats.ad)
+    ks, cvm, ad = _stats(x, law)
+    assert 0.0 <= ks <= 1.0
+    assert cvm >= 1.0 / (12.0 * 200) - 1e-12
+    assert math.isfinite(ad)
     with pytest.raises(DomainError):
-        edf_statistics(np.array([]), law)
+        _stats([], law)
     with pytest.raises(DomainError):
-        edf_statistics(np.array([1.0, math.inf]), law)
+        _stats([1.0, math.inf], law)
+    with pytest.raises(DomainError):
+        batch_edf_statistics(x, law)  # one sample, not a (reps, n) matrix
 
 
 def test_support_edge_points_stay_finite():
     # CDF hits exactly 0/1 at the support edge; the log clamp keeps AD finite
     law = FiniteNLaw(5)
     edge = law.support_bound
-    stats = edf_statistics(np.array([-edge, 0.0, edge]), law)
-    assert math.isfinite(stats.ad)
+    _, _, ad = _stats([-edge, 0.0, edge], law)
+    assert math.isfinite(ad)
 
 
 def test_permutation_invariance():
     law = FiniteNLaw(8)
     x = law.sample(333, 17)
-    base = edf_statistics(x, law)
+    base = _stats(x, law)
     rng = np.random.default_rng(18)
-    shuffled = edf_statistics(rng.permutation(x), law)
+    shuffled = _stats(rng.permutation(x), law)
     assert shuffled == base
 
 
@@ -62,8 +70,7 @@ def test_batch_matches_single():
     x = math.sqrt(6.0) * (2.0 * rng.beta(a, a, size=(20, 50)) - 1.0)
     ks, cvm, ad = batch_edf_statistics(x, law)
     for j in range(20):
-        single = edf_statistics(x[j], law)
-        assert single == EdfStatistics(ks=float(ks[j]), cvm=float(cvm[j]), ad=float(ad[j]))
+        assert _stats(x[j], law) == (ks[j], cvm[j], ad[j])
 
 
 def test_uniform_probability_transforms_under_null():

@@ -9,7 +9,10 @@ import finiten
 from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
 from finiten.harness import calibrate, compare_edf, estimate_rejection, run_grid
-from finiten.jacobi import jacobi_eval_all, sigma_k
+from finiten.jacobi import jacobi_eval_all
+
+# an integer too large for a float
+_HUGE = pytest.param(10**400, id="10**400")
 
 N_ENTRY_POINTS = {
     "FiniteNLaw": FiniteNLaw,
@@ -20,7 +23,7 @@ N_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(N_ENTRY_POINTS))
-@pytest.mark.parametrize("N", [3.0, 2.9, math.nan, math.inf])
+@pytest.mark.parametrize("N", [3.0, 2.9, math.nan, math.inf, _HUGE])
 def test_every_N_entry_point_raises_domain_error(entry, N):
     with pytest.raises(DomainError, match="N must be a finite real > 3"):
         N_ENTRY_POINTS[entry](N)
@@ -53,7 +56,6 @@ COUNT_ENTRY_POINTS = {
         lambda k: FiniteNLaw(5).sample_gaussian_alternative(k, 0),
     "FiniteNLaw.sanov_power_proxy": lambda k: FiniteNLaw(5).sanov_power_proxy(k),
     "jacobi_eval_all": lambda k: jacobi_eval_all(1.0, k, 0.5),
-    "sigma_k": lambda k: sigma_k(1.0, k),
     "JacobiBasis.build": lambda k: JacobiBasis.build(1.0, k),
     "JacobiBasis.psi": lambda k: JacobiBasis.build(1.0, 4).psi(k, 0.5),
     "SteinTestConfig.modes": lambda k: SteinTestConfig(N=5, m=6, modes=(k,)),
@@ -62,7 +64,7 @@ COUNT_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
-@pytest.mark.parametrize("k", [math.inf, math.nan])
+@pytest.mark.parametrize("k", [math.inf, math.nan, _HUGE])
 def test_every_count_entry_point_raises_config_error(entry, k):
     with pytest.raises(ConfigError, match="must be an integer"):
         COUNT_ENTRY_POINTS[entry](k)

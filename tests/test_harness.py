@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,6 @@ from finiten.harness import (
     records_to_json,
     run_grid,
     sanov_table,
-    _compare_stats,
 )
 from finiten.stein_test import SteinTestConfig
 
@@ -168,9 +168,6 @@ def test_grid_spec_defaults_follow_protocol():
     assert spec.m_values == (4, 6, 8, 10)
     assert spec.level == 0.05
     assert spec.calib_reps == 50_000 and spec.eval_reps == 20_000
-    desk = spec.desk_scale()
-    assert desk.calib_reps == 5_000 and desk.eval_reps == 2_000
-    assert desk.N_values == spec.N_values
     with pytest.raises(DomainError):
         GridSpec(N_values=(2.0,))
     with pytest.raises(ConfigError):
@@ -277,6 +274,37 @@ def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
     assert pool_sizes == [2]
 
 
+def test_run_grid_keeps_finished_pairs_when_a_worker_dies(monkeypatch):
+    class DyingPool:
+        """Stands in for ProcessPoolExecutor: gives the first pair, then
+        fails as a pool whose worker the OOM killer ended."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            yield fn(next(iter(items)))
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", DyingPool)
+    spec = replace(_tiny_spec(), m_values=(4, 6))  # 2 (N, n) pairs, 4 cells
+    seen = []
+    result = run_grid(spec, workers=2, on_cell=seen.append)
+    assert not result.complete
+    first = replace(spec, n_values=spec.n_values[:1])
+    expected = run_grid(first, workers=1)
+    assert result.calibration == expected.calibration and len(result.calibration) == 2
+    assert result.rows == expected.rows
+    assert [cell.calibration for cell in seen] == list(expected.calibration)
+    assert grid_result_to_csv(result).endswith("# complete=false\n")
+
+
 def test_sanov_table_reproduces_reference_values():
     table = sanov_table(SANOV_N_VALUES, SANOV_N_SIZES)
     for i, N in enumerate(SANOV_N_VALUES):
@@ -365,18 +393,17 @@ def test_compare_pipeline_controls_size():
     # each test holds its own calibrated level on fresh null draws
     N, n, reps, level = 5.0, 100, 2_000, 0.05
     config = SteinTestConfig(N=N, m=4, level=level)
-    cal = _compare_stats(
-        config, H0, n, reps,
-        ReplicationStreams(5, "compare-calibrate", N, n), True,
-    )
-    cutoffs = {name: empirical_cutoff(cal[name], level) for name in cal}
-    fresh = _compare_stats(
-        config, H0, n, reps,
-        ReplicationStreams(5, "size-check", N, n), True,
-    )
+
+    def statistics(phase):
+        streams = ReplicationStreams(5, phase, N, n)
+        return harness._collect_statistics(harness._compare_kernel, config, H0, n, reps,
+                                           streams, True)
+
+    cal = statistics("compare-calibrate")
+    assert cal.shape == (len(harness.COMPARE_TESTS), reps)
     se = math.sqrt(level * (1 - level) / reps)
-    for name, stats in fresh.items():
-        size = (stats > cutoffs[name]).mean()
+    for null, fresh in zip(cal, statistics("size-check")):
+        size = (fresh > empirical_cutoff(null, level)).mean()
         assert abs(size - level) < 4.0 * se
 
 

@@ -6,8 +6,14 @@ from scipy import integrate, special
 
 from finiten import FiniteNLaw, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
-from finiten.jacobi import JacobiBasis, jacobi_eval_all, sigma_k
+from finiten.jacobi import JacobiBasis, jacobi_eval_all
 from operator_reference import jacobi_deriv, stein_apply_rescaled, stein_apply_unrescaled
+
+
+def sigma_k(alpha, k):
+    """The k-th operator-image norm, as the basis builds it."""
+    return JacobiBasis.build(alpha, k).sigmas[k - 1]
+
 
 # Reference normalisation constants for N=5 (alpha=1), orders 1..10.
 SIGMA_TABLE_N5 = [

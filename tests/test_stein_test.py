@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from finiten.stein_test import (
     run_test,
     running_statistics,
     standardize,
-    statistic,
 )
 from operator_reference import orthonormal_psi
 
@@ -168,7 +168,7 @@ def test_statistic_is_sum_of_squares():
     law = FiniteNLaw(5)
     x = law.sample(400, 11)
     coefs = coefficients(x, config)
-    t = statistic(x, config)
+    t = run_test(x, config, standardize_first=False).statistic
     assert t >= 0.0
     assert t == pytest.approx(sum(v * v for v in coefs.values()), abs=1e-12)
 
@@ -177,10 +177,11 @@ def test_statistic_permutation_invariant():
     config = SteinTestConfig(N=5, m=10)
     law = FiniteNLaw(5)
     x = law.sample(999, 13)
-    t = statistic(x, config)
+    t = batch_statistic(x[None, :], config)[0]
     rng = np.random.default_rng(14)
     for _ in range(3):
-        assert statistic(rng.permutation(x), config) == pytest.approx(t, rel=1e-10)
+        shuffled = rng.permutation(x)[None, :]
+        assert batch_statistic(shuffled, config)[0] == pytest.approx(t, rel=1e-10)
 
 
 def test_null_statistic_mean_is_one():
@@ -230,12 +231,10 @@ def test_batch_statistic_matches_rowwise():
     x = _null_matrix(7.0, 60, 25, 404)
     batch = batch_statistic(x, config)
     for j in range(x.shape[0]):
-        assert batch[j] == pytest.approx(statistic(x[j], config), rel=1e-12)
+        assert batch[j] == run_test(x[j], config, standardize_first=False).statistic
     batch_std = batch_statistic(standardize(x), config)
     for j in range(x.shape[0]):
-        assert batch_std[j] == pytest.approx(
-            statistic(standardize(x[j]), config), rel=1e-10
-        )
+        assert batch_std[j] == run_test(x[j], config).statistic
 
 
 def test_batch_statistic_rejects_non_finite_rows():
@@ -305,8 +304,7 @@ def test_run_test_standardize_toggle():
     raw = run_test(x, config, standardize_first=False)
     aligned = run_test(x, config, standardize_first=True)
     assert raw.statistic != aligned.statistic  # alignment changes the projection
-    direct = statistic(x, config)
-    assert raw.statistic == pytest.approx(direct, rel=1e-13)
+    assert raw.statistic == batch_statistic(x[None, :], config)[0]
 
 
 def test_run_test_refuses_modes_1_and_2_on_standardised_path():
@@ -337,3 +335,70 @@ def test_rejection_rates_across_seeds():
     alt_rejections = int((alt_t > cutoff).sum())
     assert abs(null_rejections / reps - 0.05) < 0.03
     assert alt_rejections / reps > 0.97
+
+
+# run_test(1.9 * _PIN_SAMPLE, SteinTestConfig(N=N, m=m), standardize_first)
+# for m = 4, 10, 30 as JSON floats: (T, p) per m, then every mu_k of m = 30
+# (those of m = 4 and 10 are its first one and four)
+_PIN_SAMPLE = (np.arange(1, 200) * 61 % 199) / 199.0 * 1.8 - 0.9
+PINNED_RUN_TEST = {
+    (5.0, True): (
+        ((14.189735243227267, 0.00016526963216558554), (20.406653862725932, 0.0004150480963088823),
+         (25.646394609488127, 0.028697147267254784)),
+        (3.766926498251229, 1.049525931772835, -1.8585954748330615, -1.2888121658973792,
+         0.8743360731064151, 1.259063798014921, -0.23154907369739827, -1.0844281597600065,
+         -0.2034137944921696, 0.826581292737272, 0.4757695036329766, -0.5310852298001637,
+         -0.6096115029368471, 0.2361948171315134),
+    ),
+    (5.0, False): (
+        ((14.641001030196836, 0.000130054115305233), (20.352980699530722, 0.0004253161201021916),
+         (25.91562391734149, 0.026533501417621067)),
+        (3.8263561034222673, 0.7416914136897277, -2.020674031031284, -1.0386288925831988,
+         1.1241895170976077, 1.0985325569474538, -0.5383540061725635, -1.0346407686948524,
+         0.12064916873128258, 0.8940512537323527, 0.17694226680170264, -0.7066737644931326,
+         -0.37531354136025447, 0.4963066761886664),
+    ),
+    (20.0, True): (
+        ((16.191679058633223, 5.724501543638879e-05), (30.264684211711348, 4.323194236193186e-06),
+         (45.18714884082412, 3.803634085511857e-05)),
+        (4.023888549479623, -3.344620548306697, 0.753119483684914, 1.5229345305090782,
+         -2.271853141977715, 1.4670388264079575, 0.06644223442987741, -1.2888547022573065,
+         1.5446764846627392, -0.8431649894361765, -0.2634196195805972, 1.0738271785006137,
+         -1.153136552987829, 0.5424138100927575),
+    ),
+    (20.0, False): (
+        ((14.936295111504869, 0.00011120288956991131), (29.29433574602958, 6.8116379939055276e-06),
+         (44.32217583199136, 5.252102683842575e-05)),
+        (3.864750329776151, -3.4157945095135203, 0.9781176388433656, 1.3166906956022288,
+         -2.227209946051378, 1.6094883860939455, -0.16500778115891723, -1.1201221362099694,
+         1.545925089818846, -1.011830506439811, -0.034729500272671916, 0.9281894690510502,
+         -1.1803580802778404, 0.7248099929722449),
+    ),
+    (1e4, True): (
+        ((11.950758463699698, 0.0005462513920793329), (32.68214347788583, 1.3875180780580156e-06),
+         (43.68039086359498, 6.664132454519733e-05)),
+        (3.45698690534108, -3.6057970447003695, 2.527344079656598, -1.1585096415830805,
+         -0.060561141444087765, 0.9488088705940322, -1.4662242265373409, 1.6471462969676878,
+         -1.560596528132106, 1.2865309324302419, -0.902029701773837, 0.4738544734902599,
+         -0.05509975022758412, -0.31556625883788),
+    ),
+    (1e4, False): (
+        ((10.7497787358053, 0.0010429178748052193), (31.98230435603614, 1.9290952842971846e-06),
+         (42.65791849763174, 9.715461884000424e-05)),
+        (3.278685519504013, -3.565836060996297, 2.607139906362079, -1.311548822950782,
+         0.11649990257320157, 0.7881836164463845, -1.349541949220226, 1.5887272548996083,
+         -1.5633667027669107, 1.344692831151014, -1.0039233875615066, 0.604613642019419,
+         -0.19889654270219181, -0.17377232667634238),
+    ),
+}
+
+
+@pytest.mark.parametrize("N, standardize", sorted(PINNED_RUN_TEST))
+def test_run_test_output_is_pinned(N, standardize):
+    per_m, mus = PINNED_RUN_TEST[N, standardize]
+    for m, (t, p) in zip((4, 10, 30), per_m):
+        config = SteinTestConfig(N=N, m=m)
+        report = run_test(1.9 * _PIN_SAMPLE, config, standardize_first=standardize)
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert (payload["statistic"], payload["p_value"]) == (t, p)
+        assert payload["coefficients"] == {str(k): v for k, v in zip(config.modes, mus)}
