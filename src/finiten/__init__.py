@@ -26,7 +26,7 @@ from .harness import (
     run_grid,
     sanov_table,
 )
-from .jacobi import JacobiBasis, jacobi_eval_all
+from .jacobi import JacobiBasis
 from .stein_test import (
     SteinTestConfig,
     TestReport,
@@ -46,7 +46,6 @@ __all__ = [
     "DegenerateSampleError",
     "ConfigError",
     "JacobiBasis",
-    "jacobi_eval_all",
     "SteinTestConfig",
     "TestReport",
     "even_modes",

@@ -22,6 +22,10 @@ Beta function throughout. The log normalising constant and the KL
 divergence switch from log-gamma and digamma differences to asymptotic
 series in x = (N - 1)/2 at x >= 6, so both keep full relative precision
 up to N = 1e8 and beyond.
+
+``scipy.special`` is imported inside the three methods that need it (the
+incomplete Beta CDF, the quantile, and KL below N = 13), so importing
+this module, sampling and the closed forms do not load SciPy.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, check_finite, check_int, check_N
 
@@ -164,9 +167,10 @@ class FiniteNLaw:
         return out
 
     def _betainc_cdf(self, arr: np.ndarray) -> np.ndarray:
+        from scipy.special import betainc
         z = np.clip((1.0 + arr / self.support_bound) / 2.0, 0.0, 1.0)
         a = self._beta_shape
-        return _sp.betainc(a, a, z)
+        return betainc(a, a, z)
 
     def _closed_form_cdf(self, arr: np.ndarray) -> np.ndarray:
         """CDF of a 1-D array for integer N, in three buffers of its size.
@@ -215,8 +219,9 @@ class FiniteNLaw:
             return 0.0
         if p > 0.5:
             return -self.quantile(1.0 - p)
+        from scipy.special import betaincinv
         a = self._beta_shape
-        z = float(_sp.betaincinv(a, a, p))
+        z = float(betaincinv(a, a, p))
         return self.support_bound * (2.0 * z - 1.0)
 
     def sample(self, n: int, seed) -> np.ndarray:
@@ -254,7 +259,8 @@ class FiniteNLaw:
         x = (self.N - 1.0) / 2.0
         if x >= _SERIES_X:
             return _horner(_KL_SERIES, 1.0 / x) / (x * x)
-        dpsi = _sp.digamma(x) - _sp.digamma(x + 0.5)
+        from scipy.special import digamma
+        dpsi = digamma(x) - digamma(x + 0.5)
         return float(self.log_norm + 0.5 * (1.0 + math.log(2.0 * math.pi)) + self.alpha * dpsi)
 
     def sanov_power_proxy(self, n: int) -> float:

@@ -42,8 +42,13 @@ def check_N(N) -> float:
 
 
 def check_int(value, what: str, minimum: int) -> int:
-    """An integral count as an int; ConfigError if fractional or below minimum."""
-    if not _as_float(value).is_integer() or value < minimum:
+    """An integral count as an int; ConfigError if fractional, below minimum,
+    or an integer beyond the float range."""
+    as_float = _as_float(value)
+    if isinstance(value, int) and math.isinf(as_float):
+        raise ConfigError(f"{what} must be an integer within the float range (about 1.8e308), "
+                          f"got one of {value.bit_length()} bits")
+    if not as_float.is_integer() or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -25,19 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_N
+from .errors import DomainError, check_int, check_N
 
 __all__ = [
     "jacobi_rows",
-    "jacobi_eval_all",
     "JacobiBasis",
 ]
 
 
-def _validate_alpha(alpha: float, lower: float) -> float:
+def _validate_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= lower:
-        raise DomainError(f"alpha must be a finite real > {lower}, got {alpha!r}")
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"alpha must be a finite real > 0, got {alpha!r}")
     return alpha
 
 
@@ -63,23 +62,6 @@ def jacobi_rows(alpha: float, k_max: int, y: np.ndarray):
             - (k + a) * (k + a + 1) * p_prev
         ) / ((k + 1) * (k + 2 * a + 1))
         yield p_cur
-
-
-def jacobi_eval_all(alpha: float, k_max: int, y):
-    """Evaluate P_0 .. P_{k_max} of the symmetric family at y.
-
-    Runs the recurrence of :func:`jacobi_rows` in extended precision. y
-    may be a scalar or array; evaluation outside [-1, 1] is permitted
-    since the polynomials are globally defined. Returns an array of shape
-    (k_max + 1,) + shape(y) in extended precision (cast down if you need
-    compact storage); endpoint magnitudes grow like binom(k + a, k), so
-    float64 alone cannot resolve the operator identities checked against
-    these values.
-    """
-    a = _validate_alpha(alpha, -1.0)
-    k_max = check_int(k_max, "k_max", 0)
-    ya = check_finite(y, "evaluation points").astype(np.longdouble)
-    return np.stack(list(jacobi_rows(a, k_max, ya)))
 
 
 def _norms(a: float, m: int):
@@ -116,7 +98,7 @@ class JacobiBasis:
 
     @classmethod
     def build(cls, alpha: float, max_order: int) -> "JacobiBasis":
-        a = _validate_alpha(alpha, 0.0)
+        a = _validate_alpha(alpha)
         m = check_int(max_order, "max_order", 1)
         return cls(alpha=a, max_order=m, sigmas=np.array(list(_norms(a, m))))
 
@@ -124,14 +106,3 @@ class JacobiBasis:
     def for_system(cls, N: float, max_order: int) -> "JacobiBasis":
         """Basis matching the law with effective particle number N."""
         return cls.build((check_N(N) - 3.0) / 2.0, max_order)
-
-    def psi(self, k: int, y):
-        """Orthonormal function psi_k at y (scalar or array)."""
-        k = check_int(k, "mode", 1)
-        if k > self.max_order:
-            raise DomainError(f"mode {k} outside the constructed range 1..{self.max_order}")
-        poly = jacobi_eval_all(self.alpha, k, y)[k]
-        out = -(2.0 * k / self.sigmas[k - 1]) * poly
-        if np.ndim(y) == 0:
-            return float(out)
-        return out.astype(float)

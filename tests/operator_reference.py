@@ -3,7 +3,7 @@
 Not collected by pytest. The characterising operator and the derivative
 identity justify the basis psi_k, but the statistic never evaluates
 them, so they live here, on top of :func:`finiten.jacobi.jacobi_rows`
-in extended precision like :func:`finiten.jacobi.jacobi_eval_all`:
+in extended precision (:func:`jacobi_eval_all`):
 
 - derivatives come from the shift identity
   d/dy P_k^(a,a) = ((k + 2a + 1) / 2) * P_{k-1}^(a+1,a+1), never from
@@ -11,8 +11,10 @@ in extended precision like :func:`finiten.jacobi.jacobi_eval_all`:
 - the rescaled operator applied to g_k = P_{k-1}^(a+1,a+1) must equal
   -2k * P_k^(a,a).
 
-The orthonormal three-term recurrence gives psi_k with no sigma_k, so it
-checks the norms as well as the recurrence behind the coefficients.
+:func:`jacobi_psi` evaluates psi_k of a built basis pointwise from
+those values and the basis's sigma_k. The orthonormal three-term
+recurrence gives psi_k with no sigma_k, so it checks the norms as well
+as the recurrence behind the coefficients.
 
 The Gamma/digamma bracket of the per-observation log likelihood ratio is
 an independent closed form that must equal -KL.
@@ -23,8 +25,38 @@ import math
 import numpy as np
 from scipy import special
 
-from finiten.errors import DomainError
+from finiten.errors import DomainError, check_finite, check_int
 from finiten.jacobi import jacobi_rows
+
+
+def jacobi_eval_all(alpha: float, k_max: int, y):
+    """Evaluate P_0 .. P_{k_max} of the symmetric family at y.
+
+    Runs the recurrence of :func:`finiten.jacobi.jacobi_rows` in extended
+    precision. y may be a scalar or array; evaluation outside [-1, 1] is
+    permitted since the polynomials are globally defined. Returns an array
+    of shape (k_max + 1,) + shape(y) in extended precision; endpoint
+    magnitudes grow like binom(k + a, k), so float64 alone cannot resolve
+    the operator identities checked against these values.
+    """
+    a = float(alpha)
+    if not math.isfinite(a) or a <= -1.0:
+        raise DomainError(f"alpha must be a finite real > -1, got {a!r}")
+    k_max = check_int(k_max, "k_max", 0)
+    ya = check_finite(y, "evaluation points").astype(np.longdouble)
+    return np.stack(list(jacobi_rows(a, k_max, ya)))
+
+
+def jacobi_psi(basis, k: int, y):
+    """Orthonormal function psi_k of a built JacobiBasis at y (scalar or array)."""
+    k = check_int(k, "mode", 1)
+    if k > basis.max_order:
+        raise DomainError(f"mode {k} outside the constructed range 1..{basis.max_order}")
+    poly = jacobi_eval_all(basis.alpha, k, y)[k]
+    out = -(2.0 * k / basis.sigmas[k - 1]) * poly
+    if np.ndim(y) == 0:
+        return float(out)
+    return out.astype(float)
 
 
 def _last_row(alpha: float, k: int, y: np.ndarray) -> np.ndarray:

