@@ -21,7 +21,7 @@ import sys
 
 from . import harness
 from .distribution import FiniteNLaw
-from .errors import FiniteNError, check_seed
+from .errors import FiniteNError, check_int, check_seed
 from .jacobi import JacobiBasis
 from .stein_test import SteinTestConfig, run_test
 
@@ -52,6 +52,13 @@ def _resolve_seed(seed: int | None) -> int:
     drawn = int.from_bytes(os.urandom(8), "little") >> 1
     print(f"seed={drawn}", file=sys.stderr)
     return drawn
+
+
+def _calibration_seed(args, n: int) -> int:
+    """Check the calibration counts first, so no seed is echoed for a run that fails."""
+    check_int(n, "sample size", 1)
+    check_int(args.reps, "calibration replications", harness.MIN_CALIB_REPS)
+    return _resolve_seed(args.seed)
 
 
 def _open_output(path: str | None):
@@ -230,7 +237,8 @@ def _cmd_test(args) -> int:
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
     if args.cutoff == "calibrated":
         # calibrate under the same pipeline the decision will use
-        cutoff = harness.calibrate(len(values), config, args.reps, _resolve_seed(args.seed),
+        seed = _calibration_seed(args, len(values))
+        cutoff = harness.calibrate(len(values), config, args.reps, seed,
                                    standardize_first=args.standardize)
     elif args.cutoff == "theoretical":
         cutoff = None
@@ -282,7 +290,7 @@ def _cmd_dist(args) -> int:
 def _cmd_calibrate(args) -> int:
     modes = _modes_argument(args.modes)
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
-    seed = _resolve_seed(args.seed)
+    seed = _calibration_seed(args, args.n)
     entry = harness.CalibrationEntry(
         N=float(args.N), n=args.n, m=args.m, level=args.level,
         cutoff=harness.calibrate(args.n, config, args.reps, seed), reps=args.reps, seed=seed,

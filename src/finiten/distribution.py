@@ -158,7 +158,8 @@ class FiniteNLaw:
             out = self._closed_form_cdf(arr.reshape(-1)).reshape(arr.shape)
             tails = out < _TAIL
             tails |= out > 1.0 - _TAIL
-            out[tails] = self._betainc_cdf(arr[tails])
+            if tails.any():  # so closed-form points never load SciPy
+                out[tails] = self._betainc_cdf(arr[tails])
         else:
             # Pin the centre exactly; betainc is symmetric only to rounding.
             out = np.where(arr == 0.0, 0.5, self._betainc_cdf(arr))

@@ -13,9 +13,10 @@ fills a block in order, so the first R replications are the same for any
 reps >= R. The key holds no truncation order or mode set: every m of an
 (N, n) pair shares the same draws, and T for each m is a partial sum of
 one pass of the recurrence. No stream is shared across phases or (N, n)
-pairs, reductions are order-independent, and results are bit-identical
-for any worker count. Only one block of draws is held at a time, so
-large grids never materialise full sample matrices in memory.
+pairs, reductions are order-independent, and a pool's results are taken
+in spec order whatever order it runs them in (largest n first), so
+results are bit-identical for any worker count. Only one block of draws
+is held at a time, so large grids never materialise full sample matrices.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 
 # Replications per stream block; part of the determinism contract.
 BLOCK = 512
-_MIN_CALIB_REPS = 1000
+MIN_CALIB_REPS = 1000
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +203,7 @@ class GridSpec:
         checked = {
             **axes,
             "level": check_level(self.level),
-            "calib_reps": check_int(self.calib_reps, "calib_reps", _MIN_CALIB_REPS),
+            "calib_reps": check_int(self.calib_reps, "calib_reps", MIN_CALIB_REPS),
             "eval_reps": check_int(self.eval_reps, "eval_reps", 1),
             "master_seed": check_seed(self.master_seed),
         }
@@ -285,7 +286,7 @@ def calibrate(
     raises ConfigError, as in :func:`run_test`.
     """
     n = check_int(n, "sample size", 1)
-    reps = check_int(reps, "calibration replications", _MIN_CALIB_REPS)
+    reps = check_int(reps, "calibration replications", MIN_CALIB_REPS)
     if standardize_first:
         _check_standardizable(config)
     stats = _calibration_statistics(config, n, reps, seed, standardize_first)
@@ -373,10 +374,10 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     Each (N, n) pair is one task that gives the cells of every m from
     shared draws. Tasks execute independently (across at most ``workers``
     processes, never more than there are pairs) and are reduced in
-    deterministic order. ``on_cell`` receives each CellResult in
-    ``spec.cells()`` order as it becomes available. Interruption, memory
-    exhaustion or a lost worker process yields a truncated but valid result
-    with ``complete=False``.
+    deterministic order: a pool gets them largest n first, and ``on_cell``
+    receives each CellResult in ``spec.cells()`` order as it becomes
+    available. Interruption, memory exhaustion or a lost worker process
+    yields a valid spec-order prefix of the cells with ``complete=False``.
     """
     pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
     workers = min(check_int(workers, "workers", 1), len(pairs))
@@ -395,7 +396,9 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
             _consume(map(_grid_pair, pairs))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                _consume(pool.map(_grid_pair, pairs))
+                by_size = sorted(pairs, key=lambda pair: -pair[1][1])
+                futures = {pair[1]: pool.submit(_grid_pair, pair) for pair in by_size}
+                _consume(futures[key].result() for _, key in pairs)
     except (KeyboardInterrupt, MemoryError, BrokenProcessPool):
         complete = False
 
@@ -457,7 +460,7 @@ def compare_edf(
     fair by construction.
     """
     config = SteinTestConfig(N=N, m=m, level=level)
-    reps = check_int(reps, "comparison replications", _MIN_CALIB_REPS)
+    reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
     n_values = [check_int(n, "comparison sample size", 2) for n in n_values]
     rows: list[CompareRow] = []
     for n in n_values:

@@ -1,9 +1,9 @@
-"""Symmetric Jacobi polynomials and the orthonormal test functions psi_k.
+"""Jacobi polynomials and the orthonormal test functions psi_k.
 
 The law in :mod:`finiten.distribution`, rescaled to y = x / sqrt(N), has
 the normalised weight w_a(y) proportional to (1 - y^2)^a on [-1, 1], with
-a = (N - 3) / 2. The polynomials P_k^(a,a) orthogonal under that weight
-are generated here by their three-term recurrence.
+a = (N - 3) / 2. The polynomials P_k^(a,a) are orthogonal under that
+weight.
 
 The first-order operator
 
@@ -15,7 +15,12 @@ has zero expectation under the law for smooth f. Its rescaled form on
 sigma_k, finite products of square roots. Dividing by sigma_k yields
 the orthonormal functions psi_k used by the goodness-of-fit statistic.
 The operator only justifies the basis: the statistic needs the
-recurrence and sigma_k.
+recurrence and the norms.
+
+The statistic steps no symmetric recurrence: by Szegő 4.1.5 (DLMF
+18.7.13-14), P_k^(a,a)(y) = c_k y^(k%2) P_{k//2}^(a, k%2 - 1/2)(2y^2 - 1),
+so half as many steps of the general recurrence in w = 2y^2 give every
+mode of one parity, with c_k folded into the basis's mode weights.
 """
 
 from __future__ import annotations
@@ -33,54 +38,65 @@ __all__ = [
 ]
 
 
-def _validate_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be a finite real > 0, got {alpha!r}")
-    return alpha
+def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray):
+    """Yield P_0 .. P_{k_max} of P^(alpha,beta) at z = w - 1, in float64.
 
+    The recurrence DLMF 18.9.2 in w, with A = alpha + beta and s = 2k + A:
 
-def jacobi_rows(alpha: float, k_max: int, y: np.ndarray):
-    """Yield P_0 .. P_{k_max} of the symmetric family at y, in the dtype of y.
+        P_{k+1} = (c1 w - d) P_k - c2 P_{k-1},   P_1 = (A + 2) w / 2 - beta - 1,
 
-    Three-term recurrence with P_0 = 1 and P_1 = (alpha + 1) y:
-
-        (k+1)(k+2a+1) P_{k+1} = (2k+2a+1)(k+a+1) y P_k - (k+a)(k+a+1) P_{k-1}
-
-    alpha is cast to the dtype of y and only two rows are held at a time.
+    with c1 = (s+1)(s+2)s, c2 = 2(k+alpha)(k+beta)(s+2) and the closed form
+    d = (s+1)(4k^2 + 4k(A+1) + 2A(1+beta)), each over 2(k+1)(k+A+1)s. In z,
+    the constant is c1 less a term of the same size alpha, which loses
+    log10(alpha) digits where w ~ 1/N. For alpha > 0 and A > -1/2. Each
+    row is a new array that later steps never overwrite.
     """
-    a = y.dtype.type(alpha)
-    p_prev = np.ones_like(y)
-    yield p_prev
+    A = alpha + beta
+    prev = np.ones_like(w)
+    yield prev
     if k_max < 1:
         return
-    p_cur = (a + 1.0) * y
-    yield p_cur
+    cur = (0.5 * (A + 2.0)) * w - (beta + 1.0)
+    yield cur
+    term = np.empty_like(cur)  # reused for c2 P_{k-1}
     for k in range(1, k_max):
-        p_prev, p_cur = p_cur, (
-            (2 * k + 2 * a + 1) * (k + a + 1) * y * p_cur
-            - (k + a) * (k + a + 1) * p_prev
-        ) / ((k + 1) * (k + 2 * a + 1))
-        yield p_cur
+        s = 2.0 * k + A
+        den = 2.0 * (k + 1) * (k + A + 1.0) * s
+        row = np.multiply(w, (s + 1.0) * (s + 2.0) * s / den)
+        row -= (s + 1.0) * (4.0 * k * k + 4.0 * k * (A + 1.0) + 2.0 * A * (1.0 + beta)) / den
+        row *= cur
+        row -= np.multiply(prev, 2.0 * (k + alpha) * (k + beta) * (s + 2.0) / den, out=term)
+        prev, cur = cur, row
+        yield cur
 
 
 def _norms(a: float, m: int):
-    """Yield sigma_1 .. sigma_m, the norms of the operator images at
-    alpha = a > 0, each as the finite product
+    """Yield (sigma_k, v_k) for k = 1 .. m at alpha = a > 0.
 
-        sigma_k = 2k sqrt((2a+1)/(2k+2a+1)) * prod_{j<=k} (a+j)/sqrt(j(2a+j))
+    sigma_k, the norm of the k-th operator image, is the finite product
+
+        sigma_k = 2k sqrt((2a+1)/(2k+2a+1)) * prod_{i<=k} (a+i)/sqrt(i(2a+i))
 
     to which the duplication formula (DLMF 5.5.5) reduces its Gamma
-    closed form. They are positive and strictly increasing in k for every
-    a > 0. DomainError when sigma_k exceeds the float range.
+    closed form: positive and strictly increasing in k for every a > 0.
+    DomainError when it exceeds the float range. The mode weight v_k gives
+    psi_k(y) = v_k y^(k%2) P_j^(a, k%2 - 1/2)(2y^2 - 1), j = k // 2: it is
+    -(2k / sigma_k) ((a+1)_k / k!) / ((a+1)_j / j!), matching both sides at
+    y = 1. The factors a + i cancel, which leaves a running product of size
+    about (2a)^(k%2) and one square root per mode:
+
+        v_k^2 = (2k+2a+1)/(2a+1) * prod_{i<=k} (2a+i)/i * prod_{i<=j} (i/(a+i))^2
     """
-    product = 1.0
+    product, square = 1.0, 1.0
     for k in range(1, m + 1):
         product *= (a + k) / math.sqrt(k * (2.0 * a + k))
         sigma = 2.0 * k * math.sqrt((2.0 * a + 1.0) / (2.0 * k + 2.0 * a + 1.0)) * product
         if math.isinf(sigma):
             raise DomainError(f"sigma_{k} at alpha={a!r} exceeds the float range")
-        yield sigma
+        square *= (2.0 * a + k) / k
+        if k % 2 == 0:
+            square *= ((k // 2) / (a + k // 2)) ** 2
+        yield sigma, -math.sqrt((2.0 * k + 2.0 * a + 1.0) / (2.0 * a + 1.0) * square)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +105,22 @@ class JacobiBasis:
 
     psi_k(y) = -(2k / sigma_k) P_k^(a,a)(y); under the rescaled law these
     have zero mean, unit variance, and vanishing cross-correlations. The
-    norms sigma_1 .. sigma_max_order come from one pass of the product.
+    norms sigma_k and the mode weights v_k each come from one product.
     """
 
     alpha: float
     max_order: int
     sigmas: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def build(cls, alpha: float, max_order: int) -> "JacobiBasis":
-        a = _validate_alpha(alpha)
+        a = float(alpha)
+        if not math.isfinite(a) or a <= 0.0:
+            raise DomainError(f"alpha must be a finite real > 0, got {a!r}")
         m = check_int(max_order, "max_order", 1)
-        return cls(alpha=a, max_order=m, sigmas=np.array(list(_norms(a, m))))
+        sigmas, weights = map(np.array, zip(*_norms(a, m)))
+        return cls(alpha=a, max_order=m, sigmas=sigmas, weights=weights)
 
     @classmethod
     def for_system(cls, N: float, max_order: int) -> "JacobiBasis":

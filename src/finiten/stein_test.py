@@ -9,7 +9,9 @@ statistic T = sum of mu_k^2 over a chosen mode set converges to a
 chi-squared law with as many degrees of freedom as there are modes.
 Because the null and the Gaussian alternative are both symmetric and
 location/scale aligned, modes below four carry no signal; the default
-mode set is the even orders {4, 6, ..., m}.
+mode set is the even orders {4, 6, ..., m}. Every mu_k comes from one
+kernel: the recurrence of :mod:`finiten.jacobi` in w = 2y^2, one pass
+per parity in the mode set, each to half its largest mode.
 
 The chi-squared cutoff and p-value need only integer degrees of freedom,
 so they are closed forms: the survival function is the finite sum of
@@ -248,15 +250,19 @@ def _check_standardizable(config: SteinTestConfig) -> None:
 
 def _mode_coefficients(x: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     """mu_k of every row of a (reps, n) matrix, as a (dof, reps) matrix in
-    mode order: the one kernel behind every coefficient and statistic. Runs
-    the recurrence once, in float64, up to the largest mode."""
-    basis = config.basis
-    row_of = {k: i for i, k in enumerate(config.modes)}
-    root_n = math.sqrt(x.shape[1])
+    mode order: the one kernel behind every coefficient and statistic, with
+    one float64 pass of the recurrence per parity (beta = -1/2 for even
+    modes; +1/2, times y, for odd). Sums are weighted after reduction."""
+    w = np.multiply(x, x)
+    w *= 2.0 / config.N
     mu = np.empty((config.dof, x.shape[0]))
-    for k, p in enumerate(jacobi_rows(basis.alpha, max(config.modes), x / math.sqrt(config.N))):
-        if k in row_of:
-            mu[row_of[k]] = (-(2.0 * k / basis.sigmas[k - 1]) * p).sum(axis=-1) / root_n
+    for odd in {k % 2 for k in config.modes}:
+        row_of = {k // 2: i for i, k in enumerate(config.modes) if k % 2 == odd}
+        root = math.sqrt(x.shape[1] * config.N**odd)  # odd terms carry y = x / sqrt(N)
+        for j, p in enumerate(jacobi_rows(config.basis.alpha, odd - 0.5, max(row_of), w)):
+            if j in row_of:
+                total = (x * p if odd else p).sum(axis=-1)
+                mu[row_of[j]] = config.basis.weights[2 * j + odd - 1] * total / root
     return mu
 
 

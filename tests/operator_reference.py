@@ -2,8 +2,8 @@
 
 Not collected by pytest. The characterising operator and the derivative
 identity justify the basis psi_k, but the statistic never evaluates
-them, so they live here, on top of :func:`finiten.jacobi.jacobi_rows`
-in extended precision (:func:`jacobi_eval_all`):
+them, so they live here, on top of the symmetric recurrence in y
+(:func:`symmetric_rows`) in extended precision (:func:`jacobi_eval_all`):
 
 - derivatives come from the shift identity
   d/dy P_k^(a,a) = ((k + 2a + 1) / 2) * P_{k-1}^(a+1,a+1), never from
@@ -14,7 +14,9 @@ in extended precision (:func:`jacobi_eval_all`):
 :func:`jacobi_psi` evaluates psi_k of a built basis pointwise from
 those values and the basis's sigma_k. The orthonormal three-term
 recurrence gives psi_k with no sigma_k, so it checks the norms as well
-as the recurrence behind the coefficients.
+as the recurrence behind the coefficients. The statistic steps another
+recurrence, in w = 2y^2, so the symmetric one in long double is an
+independent oracle for its coefficients (:func:`reference_coefficients`).
 
 The Gamma/digamma bracket of the per-observation log likelihood ratio is
 an independent closed form that must equal -KL.
@@ -26,25 +28,48 @@ import numpy as np
 from scipy import special
 
 from finiten.errors import DomainError, check_finite, check_int
-from finiten.jacobi import jacobi_rows
+
+
+def symmetric_rows(alpha: float, k_max: int, y: np.ndarray):
+    """Yield P_0 .. P_{k_max} of the symmetric family at y, in the dtype of y.
+
+    Three-term recurrence with P_0 = 1 and P_1 = (alpha + 1) y:
+
+        (k+1)(k+2a+1) P_{k+1} = (2k+2a+1)(k+a+1) y P_k - (k+a)(k+a+1) P_{k-1}
+
+    alpha is cast to the dtype of y and only two rows are held at a time.
+    """
+    a = y.dtype.type(alpha)
+    p_prev = np.ones_like(y)
+    yield p_prev
+    if k_max < 1:
+        return
+    p_cur = (a + 1.0) * y
+    yield p_cur
+    for k in range(1, k_max):
+        p_prev, p_cur = p_cur, (
+            (2 * k + 2 * a + 1) * (k + a + 1) * y * p_cur
+            - (k + a) * (k + a + 1) * p_prev
+        ) / ((k + 1) * (k + 2 * a + 1))
+        yield p_cur
 
 
 def jacobi_eval_all(alpha: float, k_max: int, y):
     """Evaluate P_0 .. P_{k_max} of the symmetric family at y.
 
-    Runs the recurrence of :func:`finiten.jacobi.jacobi_rows` in extended
-    precision. y may be a scalar or array; evaluation outside [-1, 1] is
-    permitted since the polynomials are globally defined. Returns an array
-    of shape (k_max + 1,) + shape(y) in extended precision; endpoint
-    magnitudes grow like binom(k + a, k), so float64 alone cannot resolve
-    the operator identities checked against these values.
+    Runs :func:`symmetric_rows` in extended precision. y may be a scalar
+    or array; evaluation outside [-1, 1] is permitted since the
+    polynomials are globally defined. Returns an array of shape
+    (k_max + 1,) + shape(y) in extended precision; endpoint magnitudes
+    grow like binom(k + a, k), so float64 alone cannot resolve the
+    operator identities checked against these values.
     """
     a = float(alpha)
     if not math.isfinite(a) or a <= -1.0:
         raise DomainError(f"alpha must be a finite real > -1, got {a!r}")
     k_max = check_int(k_max, "k_max", 0)
     ya = check_finite(y, "evaluation points").astype(np.longdouble)
-    return np.stack(list(jacobi_rows(a, k_max, ya)))
+    return np.stack(list(symmetric_rows(a, k_max, ya)))
 
 
 def jacobi_psi(basis, k: int, y):
@@ -59,8 +84,21 @@ def jacobi_psi(basis, k: int, y):
     return out.astype(float)
 
 
+def reference_coefficients(x, config) -> np.ndarray:
+    """mu_k of every row of a (reps, n) matrix, as a (dof, reps) long-double
+    matrix in mode order, from :func:`symmetric_rows` and the basis's
+    sigma_k: mu_k = n^(-1/2) sum_i -(2k / sigma_k) P_k^(a,a)(x_i / sqrt(N))."""
+    xa = check_finite(x, "sample values").astype(np.longdouble)
+    ya = xa / np.sqrt(np.longdouble(config.N))
+    rows = list(symmetric_rows(config.basis.alpha, max(config.modes), ya))
+    sigmas = config.basis.sigmas.astype(np.longdouble)
+    root_n = np.sqrt(np.longdouble(xa.shape[1]))
+    return np.stack([-(2 * k / sigmas[k - 1]) * rows[k].sum(axis=-1) / root_n
+                     for k in config.modes])
+
+
 def _last_row(alpha: float, k: int, y: np.ndarray) -> np.ndarray:
-    for row in jacobi_rows(alpha, k, y):
+    for row in symmetric_rows(alpha, k, y):
         pass
     return row
 

@@ -150,6 +150,23 @@ def test_negative_seed_exits_two(command, tmp_path, capsys):
         assert captured.err == f"finiten: error: seed must be an integer {bound}, got {seed}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--N", "5", "--n", "10", "--reps", "5"],
+    ["calibrate", "--N", "5", "--n", "0", "--reps", "1000"],
+    ["test", "--N", "5", "--cutoff", "calibrated", "--reps", "5"],
+], ids=["calibrate-reps", "calibrate-n", "test-reps"])
+def test_bad_calibration_counts_fail_before_a_seed_is_drawn(command, tmp_path, capsys):
+    # with --seed omitted, a seed is drawn and echoed only for a run that starts
+    data = tmp_path / "data.txt"
+    data.write_text("0.1 -0.4 1.2 0.7 -1.1\n")
+    extra = ["--input", str(data)] if command[0] == "test" else []
+    assert cli.main([*command, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("finiten: error: ") and "must be an integer >= " in captured.err
+
+
 def test_sigma_table_matches_reference_values():
     result = run_cli("sigma-table", "--N", "5", "--m", "10")
     assert result.returncode == 0
@@ -439,6 +456,7 @@ assert ("scipy" in sys.modules) == (sys.argv[1] == "loads"), sys.argv[2:]
     ("spares", ["sanov", "--N", "13,20", "--n", "10,100"]),
     ("spares", ["calibrate", "--N", "5", "--n", "10", "--reps", "1000", "--seed", "1"]),
     ("spares", ["sample", "--N", "5", "--n", "5", "--seed", "1"]),
+    ("spares", ["dist", "--N", "5", "--x", "0.3"]),
     ("loads", ["dist", "--N", "5.5", "--x", "0.3", "--p", "0.9"]),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_scipy_is_loaded_only_by_commands_that_need_it(scipy, argv, tmp_path):

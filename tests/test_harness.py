@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -247,23 +248,50 @@ def test_run_grid_reports_progress_and_streams_cells():
     assert "# complete=true" in grid_result_to_csv(result)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each submitted pair at once,
+    in this process, and forks nothing."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
+
+
+def test_run_grid_hands_the_pool_largest_n_first_and_reports_in_spec_order(monkeypatch):
+    submitted = []
+
+    class RecordingPool(_InlinePool):
+        def submit(self, fn, item):
+            submitted.append(item[1])
+            return super().submit(fn, item)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    spec = GridSpec(N_values=(5.0, 10.0), n_values=(10, 500, 50), m_values=(4, 6),
+                    calib_reps=1_000, eval_reps=100, master_seed=8)
+    seen = []
+    result = run_grid(spec, workers=2, on_cell=seen.append)
+    assert submitted == [(5.0, 500), (10.0, 500), (5.0, 50), (10.0, 50), (5.0, 10), (10.0, 10)]
+    assert [(e.N, e.n, e.m) for e in result.calibration] == spec.cells()
+    assert [cell.calibration for cell in seen] == list(result.calibration)
+    assert grid_result_to_csv(result) == grid_result_to_csv(run_grid(spec, workers=1))
+
+
 def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
     pool_sizes = []
 
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
-
+    class InProcessPool(_InlinePool):
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     spec = replace(_tiny_spec(), m_values=(4, 6))  # 2 (N, n) pairs, 4 cells
@@ -275,22 +303,24 @@ def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
 
 
 def test_run_grid_keeps_finished_pairs_when_a_worker_dies(monkeypatch):
-    class DyingPool:
-        """Stands in for ProcessPoolExecutor: gives the first pair, then
-        fails as a pool whose worker the OOM killer ended."""
+    class DyingPool(_InlinePool):
+        """Gives the first result asked for, then fails as a pool whose
+        worker the OOM killer ended."""
 
         def __init__(self, max_workers):
-            pass
+            self.delivered = False
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, item):
+            pool = self
 
-        def __exit__(self, *exc):
-            return False
+            class Doomed:
+                def result(self):
+                    if pool.delivered:
+                        raise BrokenProcessPool("a worker process terminated abruptly")
+                    pool.delivered = True
+                    return fn(item)
 
-        def map(self, fn, items):
-            yield fn(next(iter(items)))
-            raise BrokenProcessPool("a worker process terminated abruptly")
+            return Doomed()
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", DyingPool)
     spec = replace(_tiny_spec(), m_values=(4, 6))  # 2 (N, n) pairs, 4 cells

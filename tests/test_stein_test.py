@@ -11,6 +11,7 @@ from finiten.errors import ConfigError, DegenerateSampleError, DomainError
 from finiten.jacobi import JacobiBasis
 from finiten.stein_test import (
     SteinTestConfig,
+    _mode_coefficients,
     batch_statistic,
     coefficients,
     even_modes,
@@ -18,7 +19,7 @@ from finiten.stein_test import (
     running_statistics,
     standardize,
 )
-from operator_reference import jacobi_psi, orthonormal_psi
+from operator_reference import jacobi_psi, orthonormal_psi, reference_coefficients
 
 
 def _null_matrix(N, n, reps, seed):
@@ -147,6 +148,24 @@ def test_coefficients_match_orthonormal_recurrence(N):
     coef = np.array([list(coefficients([xi], config).values()) for xi in x]).T
     scale = np.abs(psi).max(axis=1, keepdims=True)
     assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardised"])
+@pytest.mark.parametrize("N", [3.5, 5.0, 20.0, 1e4, 1e8])
+def test_mode_coefficients_match_symmetric_recurrence(N, standardized):
+    # the half-length recurrence in w = 2y^2, for both parities, against the
+    # symmetric one in y, in long double; a recurrence stepped in
+    # z = 2y^2 - 1 loses log10(alpha) digits and fails here from N = 1e4 on
+    x = _null_matrix(N, 60, 8, 407)
+    if standardized:
+        x = standardize(x)
+    for modes in (tuple(range(1, 31)), even_modes(30), (1, 3, 29), (2, 5)):
+        config = SteinTestConfig(N=N, m=max(4, *modes), modes=modes)
+        mu = _mode_coefficients(x, config)
+        ref = reference_coefficients(x, config)
+        assert np.all(np.abs(mu - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), modes
+        t_ref = (ref * ref).sum(axis=0)
+        assert np.all(np.abs(batch_statistic(x, config) - t_ref) <= 1e-12 * t_ref), modes
 
 
 def test_coefficients_parity_and_single_point():
@@ -343,52 +362,52 @@ def test_rejection_rates_across_seeds():
 _PIN_SAMPLE = (np.arange(1, 200) * 61 % 199) / 199.0 * 1.8 - 0.9
 PINNED_RUN_TEST = {
     (5.0, True): (
-        ((14.189735243227267, 0.00016526963216558584), (20.406653862725932, 0.0004150480963088821),
-         (25.646394609488127, 0.02869714726725475)),
-        (3.766926498251229, 1.049525931772835, -1.8585954748330615, -1.2888121658973792,
-         0.8743360731064151, 1.259063798014921, -0.23154907369739827, -1.0844281597600065,
-         -0.2034137944921696, 0.826581292737272, 0.4757695036329766, -0.5310852298001637,
-         -0.6096115029368471, 0.2361948171315134),
+        ((14.189735243227267, 0.00016526963216558584), (20.406653862725936, 0.0004150480963088817),
+         (25.64639460948814, 0.028697147267254617)),
+        (3.766926498251229, 1.0495259317728365, -1.8585954748330609, -1.28881216589738,
+         0.8743360731064131, 1.2590637980149249, -0.23154907369739924, -1.084428159760006,
+         -0.20341379449217145, 0.8265812927372733, 0.47576950363297654, -0.5310852298001629,
+         -0.6096115029368475, 0.23619481713151352),
     ),
     (5.0, False): (
-        ((14.641001030196836, 0.0001300541153052332), (20.352980699530722, 0.00042531612010219194),
-         (25.91562391734149, 0.02653350141762103)),
-        (3.8263561034222673, 0.7416914136897277, -2.020674031031284, -1.0386288925831988,
-         1.1241895170976077, 1.0985325569474538, -0.5383540061725635, -1.0346407686948524,
-         0.12064916873128258, 0.8940512537323527, 0.17694226680170264, -0.7066737644931326,
-         -0.37531354136025447, 0.4963066761886664),
+        ((14.641001030196826, 0.00013005411530523384), (20.35298069953071, 0.0004253161201021938),
+         (25.915623917341485, 0.026533501417621102)),
+        (3.826356103422266, 0.7416914136897286, -2.0206740310312825, -1.0386288925832003,
+         1.1241895170976057, 1.098532556947457, -0.538354006172564, -1.0346407686948522,
+         0.12064916873128019, 0.8940512537323542, 0.1769422668017046, -0.7066737644931346,
+         -0.37531354136025286, 0.4963066761886642),
     ),
     (20.0, True): (
-        ((16.191679058633223, 5.724501543638874e-05), (30.264684211711348, 4.323194236193188e-06),
-         (45.18714884082412, 3.803634085511858e-05)),
-        (4.023888549479623, -3.344620548306697, 0.753119483684914, 1.5229345305090782,
-         -2.271853141977715, 1.4670388264079575, 0.06644223442987741, -1.2888547022573065,
-         1.5446764846627392, -0.8431649894361765, -0.2634196195805972, 1.0738271785006137,
-         -1.153136552987829, 0.5424138100927575),
+        ((16.191679058633245, 5.724501543638813e-05), (30.264684211711373, 4.3231942361931415e-06),
+         (45.18714884082415, 3.8036340855118165e-05)),
+        (4.023888549479626, -3.344620548306696, 0.7531194836849107, 1.5229345305090827,
+         -2.2718531419777177, 1.4670388264079584, 0.06644223442987775, -1.2888547022573067,
+         1.5446764846627392, -0.8431649894361753, -0.2634196195805989, 1.0738271785006144,
+         -1.1531365529878284, 0.5424138100927557),
     ),
     (20.0, False): (
-        ((14.936295111504869, 0.00011120288956991118), (29.29433574602958, 6.811637993905535e-06),
-         (44.32217583199136, 5.252102683842572e-05)),
-        (3.864750329776151, -3.4157945095135203, 0.9781176388433656, 1.3166906956022288,
-         -2.227209946051378, 1.6094883860939455, -0.16500778115891723, -1.1201221362099694,
-         1.545925089818846, -1.011830506439811, -0.034729500272671916, 0.9281894690510502,
-         -1.1803580802778404, 0.7248099929722449),
+        ((14.93629511150489, 0.00011120288956991003), (29.294335746029606, 6.81163799390545e-06),
+         (44.3221758319914, 5.252102683842487e-05)),
+        (3.864750329776154, -3.4157945095135203, 0.9781176388433626, 1.316690695602233,
+         -2.227209946051381, 1.6094883860939468, -0.16500778115891745, -1.1201221362099696,
+         1.5459250898188466, -1.0118305064398112, -0.03472950027267227, 0.9281894690510502,
+         -1.180358080277839, 0.7248099929722439),
     ),
     (1e4, True): (
-        ((11.950758463699698, 0.0005462513920793333), (32.68214347788583, 1.3875180780580154e-06),
-         (43.68039086359498, 6.664132454519732e-05)),
-        (3.45698690534108, -3.6057970447003695, 2.527344079656598, -1.1585096415830805,
-         -0.060561141444087765, 0.9488088705940322, -1.4662242265373409, 1.6471462969676878,
-         -1.560596528132106, 1.2865309324302419, -0.902029701773837, 0.4738544734902599,
-         -0.05509975022758412, -0.31556625883788),
+        ((11.950758463699698, 0.0005462513920793333), (32.68214347788581, 1.3875180780580304e-06),
+         (43.680390863594944, 6.664132454519816e-05)),
+        (3.45698690534108, -3.6057970447003678, 2.527344079656597, -1.158509641583081,
+         -0.06056114144408827, 0.9488088705940328, -1.466224226537342, 1.647146296967688,
+         -1.5605965281321055, 1.286530932430241, -0.9020297017738358, 0.47385447349025767,
+         -0.05509975022758166, -0.3155662588378829),
     ),
     (1e4, False): (
-        ((10.7497787358053, 0.0010429178748052191), (31.98230435603614, 1.929095284297185e-06),
-         (42.65791849763174, 9.715461884000409e-05)),
-        (3.278685519504013, -3.565836060996297, 2.607139906362079, -1.311548822950782,
-         0.11649990257320157, 0.7881836164463845, -1.349541949220226, 1.5887272548996083,
-         -1.5633667027669107, 1.344692831151014, -1.0039233875615066, 0.604613642019419,
-         -0.19889654270219181, -0.17377232667634238),
+        ((10.749778735805297, 0.0010429178748052213), (31.982304356036124, 1.9290952842971986e-06),
+         (42.65791849763172, 9.715461884000478e-05)),
+        (3.2786855195040125, -3.565836060996296, 2.607139906362079, -1.3115488229507812,
+         0.11649990257320027, 0.7881836164463858, -1.3495419492202274, 1.5887272548996088,
+         -1.5633667027669103, 1.3446928311510127, -1.0039233875615052, 0.6046136420194169,
+         -0.1988965427021891, -0.17377232667634537),
     ),
 }
 
