@@ -47,18 +47,13 @@ _int_list = functools.partial(_comma_list, int, "integers")
 
 
 def _resolve_seed(seed: int | None) -> int:
+    """--seed, or one drawn and echoed; called after every other check, before
+    any output is opened, so a run that cannot start echoes no seed."""
     if seed is not None:
         return check_seed(seed)
     drawn = int.from_bytes(os.urandom(8), "little") >> 1
     print(f"seed={drawn}", file=sys.stderr)
     return drawn
-
-
-def _calibration_seed(args, n: int) -> int:
-    """Check the calibration counts first, so no seed is echoed for a run that fails."""
-    check_int(n, "sample size", 1)
-    check_int(args.reps, "calibration replications", harness.MIN_CALIB_REPS)
-    return _resolve_seed(args.seed)
 
 
 def _open_output(path: str | None):
@@ -226,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sample(args) -> int:
     law = FiniteNLaw(args.N)
     draw = law.sample if args.hypothesis == "h0" else law.sample_gaussian_alternative
-    values = draw(args.n, _resolve_seed(args.seed))
+    values = draw(check_int(args.n, "sample size", 1), _resolve_seed(args.seed))
     _write_output(args.output, "".join(f"{v:.17g}\n" for v in values))
     return 0
 
@@ -235,22 +230,19 @@ def _cmd_test(args) -> int:
     values = _read_numbers(args.input)
     modes = _modes_argument(args.modes)
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
+    cutoff = None  # the chi-squared cutoff
     if args.cutoff == "calibrated":
         # calibrate under the same pipeline the decision will use
-        seed = _calibration_seed(args, len(values))
-        cutoff = harness.calibrate(len(values), config, args.reps, seed,
+        harness.check_calibration(len(values), config, args.reps, args.standardize)
+        cutoff = harness.calibrate(len(values), config, args.reps, _resolve_seed(args.seed),
                                    standardize_first=args.standardize)
-    elif args.cutoff == "theoretical":
-        cutoff = None
-    else:
+    elif args.cutoff != "theoretical":
         try:
             cutoff = float(args.cutoff)
         except ValueError:
             raise FiniteNError("--cutoff must be 'theoretical', 'calibrated', or a number, "
                                f"got {args.cutoff!r}")
-    if cutoff is not None:
-        config = dataclasses.replace(config, cutoff=cutoff)
-    report = run_test(values, config, standardize_first=args.standardize)
+    report = run_test(values, config, standardize_first=args.standardize, cutoff=cutoff)
 
     header = ",".join(["statistic,dof,cutoff,p_value,reject", *(f"mu_{k}" for k in config.modes)])
     line = ",".join(
@@ -258,7 +250,7 @@ def _cmd_test(args) -> int:
          f"{report.p_value:.10g}", "true" if report.reject else "false"]
         + [f"{report.coefficients[k]:.10g}" for k in config.modes]
     )
-    _emit(args, _csv_text([header, line]), report.to_dict())
+    _emit(args, _csv_text([header, line]), dataclasses.asdict(report))
     return 1 if args.fail_on_reject and report.reject else 0
 
 
@@ -290,7 +282,8 @@ def _cmd_dist(args) -> int:
 def _cmd_calibrate(args) -> int:
     modes = _modes_argument(args.modes)
     config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
-    seed = _calibration_seed(args, args.n)
+    harness.check_calibration(args.n, config, args.reps)
+    seed = _resolve_seed(args.seed)
     entry = harness.CalibrationEntry(
         N=float(args.N), n=args.n, m=args.m, level=args.level,
         cutoff=harness.calibrate(args.n, config, args.reps, seed), reps=args.reps, seed=seed,
@@ -318,7 +311,9 @@ def _cmd_grid(args) -> int:
             raise FiniteNError(f"{flag} conflicts with {options}")
         if not full:
             overrides |= {**defaults, **given}
-    spec = harness.GridSpec(level=args.level, master_seed=_resolve_seed(args.seed), **overrides)
+    spec = harness.GridSpec(level=args.level, **overrides)
+    check_int(args.workers, "workers", 1)
+    spec = dataclasses.replace(spec, master_seed=_resolve_seed(args.seed))
     total = len(spec.cells())
     done = itertools.count(1)
 
@@ -356,10 +351,11 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    harness.check_compare(args.N, args.n_values, args.m, args.reps, args.level)
+    seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:
-        rows = harness.compare_edf(args.N, args.n_values, m=args.m, reps=args.reps,
-                                   seed=_resolve_seed(args.seed), level=args.level,
-                                   standardize_first=args.standardize)
+        rows = harness.compare_edf(args.N, args.n_values, m=args.m, reps=args.reps, seed=seed,
+                                   level=args.level, standardize_first=args.standardize)
         out.write(_table_text(args, harness.records_to_csv(harness.CompareRow, rows),
                               harness.records_to_json(rows)))
     return 0

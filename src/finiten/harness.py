@@ -52,11 +52,13 @@ __all__ = [
     "CellResult",
     "GridResult",
     "empirical_cutoff",
+    "check_calibration",
     "calibrate",
     "estimate_rejection",
     "run_grid",
     "sanov_table",
     "power_boundary",
+    "check_compare",
     "compare_edf",
     "COMPARE_TESTS",
     "POWER_CSV_HEADER",
@@ -170,10 +172,6 @@ class GridResult:
     complete: bool
 
 
-def _reference_n_values() -> tuple[int, ...]:
-    return tuple(range(10, 201, 10)) + tuple(range(250, 501, 50))
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Simulation grid; the field defaults are the reference protocol
@@ -182,7 +180,7 @@ class GridSpec:
     """
 
     N_values: tuple[float, ...] = tuple(float(N) for N in range(5, 21))
-    n_values: tuple[int, ...] = _reference_n_values()
+    n_values: tuple[int, ...] = tuple(range(10, 201, 10)) + tuple(range(250, 501, 50))
     m_values: tuple[int, ...] = (4, 6, 8, 10)
     level: float = 0.05
     calib_reps: int = 50_000
@@ -272,6 +270,15 @@ def empirical_cutoff(stats, level: float) -> float:
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
+def check_calibration(n: int, config: SteinTestConfig, reps: int, standardize_first=False):
+    """The checks of :func:`calibrate`, for a caller to run before it draws a
+    seed: n and reps as ints; n >= 2 and no mode 1 or 2 when standardising."""
+    if standardize_first:
+        _check_standardizable(config)
+    return (check_int(n, "sample size", 2 if standardize_first else 1),
+            check_int(reps, "calibration replications", MIN_CALIB_REPS))
+
+
 def calibrate(
     n: int, config: SteinTestConfig, reps: int, seed: int, standardize_first: bool = False
 ) -> float:
@@ -285,10 +292,7 @@ def calibrate(
     construction. With ``standardize_first``, a mode set with mode 1 or 2
     raises ConfigError, as in :func:`run_test`.
     """
-    n = check_int(n, "sample size", 1)
-    reps = check_int(reps, "calibration replications", MIN_CALIB_REPS)
-    if standardize_first:
-        _check_standardizable(config)
+    n, reps = check_calibration(n, config, reps, standardize_first)
     stats = _calibration_statistics(config, n, reps, seed, standardize_first)
     return empirical_cutoff(stats[-1], config.level)
 
@@ -443,6 +447,17 @@ def _compare_kernel(x, config) -> np.ndarray:
     return np.vstack([batch_statistic(x, config), *batch_edf_statistics(x, config.law)])
 
 
+def check_compare(N: float, n_values, m: int, reps: int, level: float):
+    """The checks of :func:`compare_edf`, for a caller to run before it draws a
+    seed: its config, reps, and distinct sample sizes n >= 2."""
+    config = SteinTestConfig(N=N, m=m, level=level)
+    reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
+    n_values = tuple(check_int(n, "comparison sample size", 2) for n in n_values)
+    if len(set(n_values)) != len(n_values):
+        raise ConfigError(f"n_values has duplicate values: {n_values}")
+    return config, n_values, reps
+
+
 def compare_edf(
     N: float,
     n_values,
@@ -459,9 +474,7 @@ def compare_edf(
     calibrated under the null at the given level, so the comparison is
     fair by construction.
     """
-    config = SteinTestConfig(N=N, m=m, level=level)
-    reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
-    n_values = [check_int(n, "comparison sample size", 2) for n in n_values]
+    config, n_values, reps = check_compare(N, n_values, m, reps, level)
     rows: list[CompareRow] = []
     for n in n_values:
         cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n)

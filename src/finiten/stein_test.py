@@ -16,8 +16,8 @@ per parity in the mode set, each to half its largest mode.
 The chi-squared cutoff and p-value need only integer degrees of freedom,
 so they are closed forms: the survival function is the finite sum of
 Abramowitz & Stegun 26.4.4 (odd dof, with erfc) and 26.4.5 (even dof),
-and the cutoff is found by safeguarded Newton steps on it. No SciPy
-function is loaded.
+and the cutoff is found by bisection on it, to the float where it first
+falls to the level. No SciPy function is loaded.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ def even_modes(m: int) -> tuple[int, ...]:
 
 # log 2 split so that an integer below 2**21 times _LN2_HI is exact (fdlibm)
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-# Newton steps on the quantile stop below this relative size: quadratic
-# convergence then leaves only the survival function's own rounding.
-_ISF_TOL = 1e-12
-_ISF_MAX_STEPS = 200
 
 
 def _log_term(j2: int, h: float) -> float:
@@ -120,47 +116,33 @@ def _chi2_sf(dof: int, t: float) -> float:
 
 
 def _chi2_isf(dof: int, level: float) -> float:
-    """The t with _chi2_sf(dof, t) = level, for integer dof >= 1 and 0 < level < 1.
-
-    Newton steps on log sf, whose derivative is -pdf/sf, inside a bracket
-    that every evaluation narrows; a step that leaves the bracket is
-    replaced by bisection (doubling while no upper end is known).
-    """
-    lo, hi, t = 0.0, math.inf, float(dof)
-    for _ in range(_ISF_MAX_STEPS):
-        s = _chi2_sf(dof, t)
-        if s > level:
-            lo = t
+    """The smallest float t with _chi2_sf(dof, t) <= level, for integer dof >= 1
+    and 0 < level < 1: bisection on a bracket with sf(lo) > level >= sf(hi),
+    whose hi doubles from dof until that holds, down to adjacent floats."""
+    lo, hi = 0.0, float(dof)
+    while _chi2_sf(dof, hi) > level:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _chi2_sf(dof, mid) > level:
+            lo = mid
         else:
-            hi = t
-        h = 0.5 * t
-        pdf = math.exp((0.5 * dof - 1.0) * math.log(h) - h - math.lgamma(0.5 * dof)) / 2.0
-        step = math.log(s / level) * s / pdf if s > 0.0 and pdf > 0.0 else math.nan
-        if not lo < t + step < hi:
-            step = (2.0 * lo if hi == math.inf else 0.5 * (lo + hi)) - t
-        elif abs(step) <= _ISF_TOL * t:
-            return t + step
-        if t + step == t:
-            return t
-        t += step
-    return t
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)
 class SteinTestConfig:
-    """Test configuration: system size, truncation, modes, level, cutoff.
+    """Test configuration: system size, truncation, modes and level.
 
-    ``cutoff`` is None for the asymptotic chi-squared critical value, or a
-    Monte Carlo calibrated value. ``modes`` defaults to the even set
-    {4, 6, ..., m}. The null ``law`` and the Jacobi ``basis`` up to order
-    m follow from N and m and are built once, at construction.
+    ``modes`` defaults to the even set {4, 6, ..., m}. The null ``law`` and
+    the Jacobi ``basis`` up to order m follow from N and m and are built
+    once, at construction.
     """
 
     N: float
     m: int = 4
     modes: tuple[int, ...] = None  # type: ignore[assignment]
     level: float = 0.05
-    cutoff: float | None = None
     law: FiniteNLaw = field(init=False, repr=False, compare=False)
     basis: JacobiBasis = field(init=False, repr=False, compare=False)
 
@@ -180,8 +162,6 @@ class SteinTestConfig:
                 raise ConfigError(f"modes must lie in 1..{self.m}, got {modes}")
             object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "level", check_level(self.level))
-        if self.cutoff is not None:
-            object.__setattr__(self, "cutoff", check_cutoff(self.cutoff))
         object.__setattr__(self, "basis", self.build_basis())
 
     @property
@@ -192,35 +172,23 @@ class SteinTestConfig:
         """Asymptotic cutoff: the chi-squared(dof) quantile at 1 - level."""
         return _chi2_isf(self.dof, self.level)
 
-    def resolve_cutoff(self) -> float:
-        return self.cutoff if self.cutoff is not None else self.theoretical_cutoff()
-
     def build_basis(self) -> JacobiBasis:
         return JacobiBasis.build(self.law.alpha, self.m)
 
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one test run; serialises with exactly these field names."""
+    """Outcome of one test run, with its fields in output order:
+    ``dataclasses.asdict`` of a report is the JSON payload of ``finiten test``."""
 
     __test__ = False  # a result record, not a pytest test class
 
     statistic: float
-    coefficients: dict[int, float]
     dof: int
     cutoff: float
     p_value: float
     reject: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "cutoff": self.cutoff,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "coefficients": {int(k): float(v) for k, v in self.coefficients.items()},
-        }
+    coefficients: dict[int, float]
 
 
 def standardize(values) -> np.ndarray:
@@ -307,7 +275,9 @@ def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     return running_statistics(samples, config)[-1]
 
 
-def run_test(values, config: SteinTestConfig, standardize_first: bool = True) -> TestReport:
+def run_test(
+    values, config: SteinTestConfig, standardize_first: bool = True, cutoff: float | None = None
+) -> TestReport:
     """Run the full test on a raw sample and return the report.
 
     Location and scale are treated as nuisance parameters: the sample is
@@ -328,22 +298,17 @@ def run_test(values, config: SteinTestConfig, standardize_first: bool = True) ->
     Standardising zeroes mu_1 and mu_2, so on that path a mode set with
     mode 1 or 2 raises ConfigError.
 
-    The p-value is always reported from the chi-squared survival function
-    at T; the accept/reject decision uses the resolved cutoff.
+    The test rejects when T exceeds ``cutoff``: by default (None) the
+    chi-squared(dof) quantile at 1 - level, found by bisection on the
+    survival function, or else a given value such as a calibrated one. The
+    p-value is always the chi-squared survival function at T.
     """
+    cutoff = config.theoretical_cutoff() if cutoff is None else check_cutoff(cutoff)
     x = values
     if standardize_first:
         _check_standardizable(config)
         x = standardize(values)
     coef = coefficients(x, config)
     t = float(_running(np.fromiter(coef.values(), float))[-1])
-    cutoff = config.resolve_cutoff()
-    p_value = _chi2_sf(config.dof, t)
-    return TestReport(
-        statistic=t,
-        coefficients=coef,
-        dof=config.dof,
-        cutoff=cutoff,
-        p_value=p_value,
-        reject=bool(t > cutoff),
-    )
+    return TestReport(statistic=t, dof=config.dof, cutoff=cutoff,
+                      p_value=_chi2_sf(config.dof, t), reject=bool(t > cutoff), coefficients=coef)

@@ -1,6 +1,8 @@
 """The closed-form chi-squared survival function and quantile of
 finiten.stein_test against 40-digit mpmath."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,5 @@ def test_quantile_matches_mpmath_and_round_trips(dof):
         error = (_sf(dof, q) - level) / (q * _pdf(dof, q))
         assert abs(error) <= 1e-12, (dof, level)
         assert _chi2_sf(dof, q) == pytest.approx(level, rel=1e-13, abs=0), (dof, level)
+        # q is the smallest float at which the survival function falls to the level
+        assert _chi2_sf(dof, q) <= level < _chi2_sf(dof, math.nextafter(q, 0.0)), (dof, level)

@@ -153,18 +153,26 @@ def test_negative_seed_exits_two(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["calibrate", "--N", "5", "--n", "10", "--reps", "5"],
     ["calibrate", "--N", "5", "--n", "0", "--reps", "1000"],
-    ["test", "--N", "5", "--cutoff", "calibrated", "--reps", "5"],
-], ids=["calibrate-reps", "calibrate-n", "test-reps"])
+    ["test", "--N", "5", "--cutoff", "calibrated", "--reps", "5", "--input", "{data}"],
+    ["test", "--N", "5", "--cutoff", "calibrated", "--input", "{one}"],
+    ["sample", "--N", "5", "--n", "0"],
+    ["grid", "--calib-reps", "5", "--quiet"],
+    ["compare", "--N", "5", "--reps", "5"],
+    ["grid", "--workers", "0", "--quiet", "--output", "{out}"],
+], ids=["calibrate-reps", "calibrate-n", "test-reps", "test-one-value", "sample-n",
+        "grid-reps", "compare-reps", "grid-workers"])
 def test_bad_calibration_counts_fail_before_a_seed_is_drawn(command, tmp_path, capsys):
-    # with --seed omitted, a seed is drawn and echoed only for a run that starts
-    data = tmp_path / "data.txt"
-    data.write_text("0.1 -0.4 1.2 0.7 -1.1\n")
-    extra = ["--input", str(data)] if command[0] == "test" else []
-    assert cli.main([*command, *extra]) == 2
+    # with --seed omitted, a seed is drawn and echoed only for a run that
+    # starts, and no output is opened for one that does not
+    paths = {"data": tmp_path / "data.txt", "one": tmp_path / "one.txt", "out": tmp_path / "out"}
+    paths["data"].write_text("0.1 -0.4 1.2 0.7 -1.1\n")
+    paths["one"].write_text("0.3\n")
+    assert cli.main([arg.format(**paths) for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("finiten: error: ") and "must be an integer >= " in captured.err
+    assert not paths["out"].exists()
 
 
 def test_sigma_table_matches_reference_values():

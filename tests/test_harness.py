@@ -173,6 +173,8 @@ def test_grid_spec_defaults_follow_protocol():
         GridSpec(N_values=(2.0,))
     with pytest.raises(ConfigError):
         GridSpec(calib_reps=10)
+    with pytest.raises(ConfigError, match="must be nonempty"):
+        GridSpec(n_values=())
 
 
 @pytest.mark.parametrize(
@@ -417,6 +419,8 @@ def test_compare_edf_validates_every_n_before_simulating(monkeypatch):
         compare_edf(20.0, [200, 1], reps=1000)
     with pytest.raises(ConfigError):
         compare_edf(20.0, [200, 10.7], reps=1000)
+    with pytest.raises(ConfigError, match="n_values has duplicate values"):
+        compare_edf(20.0, [50, 50], reps=1000)
 
 
 def test_compare_pipeline_controls_size():

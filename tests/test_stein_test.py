@@ -39,7 +39,7 @@ def test_even_modes():
 def test_config_defaults_and_validation():
     config = SteinTestConfig(N=5)
     assert config.m == 4 and config.modes == (4,) and config.dof == 1
-    assert config.level == 0.05 and config.cutoff is None
+    assert config.level == 0.05
     config = SteinTestConfig(N=5, m=10)
     assert config.modes == (4, 6, 8, 10) and config.dof == 4
     custom = SteinTestConfig(N=5, m=6, modes=(1, 3, 5))
@@ -54,8 +54,6 @@ def test_config_defaults_and_validation():
         SteinTestConfig(N=5, m=4, modes=(4, 4))
     with pytest.raises(ConfigError):
         SteinTestConfig(N=5, level=1.5)
-    with pytest.raises(ConfigError):
-        SteinTestConfig(N=5, cutoff=-1.0)
     with pytest.raises(ConfigError, match="mode must be an integer"):
         SteinTestConfig(N=5, m=6, modes=(4.5, 6))  # not truncated to 4
     with pytest.raises(ConfigError, match="mode must be an integer"):
@@ -69,9 +67,9 @@ def test_config_owns_its_law_and_basis():
     twin = SteinTestConfig(N=7.0, m=8)
     assert twin == config and hash(twin) == hash(config)
     assert "law" not in repr(config) and "basis" not in repr(config)
-    assert repr(config) == "SteinTestConfig(N=7.0, m=8, modes=(4, 6, 8), level=0.05, cutoff=None)"
-    replaced = dataclasses.replace(config, cutoff=3.0)
-    assert replaced.cutoff == 3.0 and replaced != config
+    assert repr(config) == "SteinTestConfig(N=7.0, m=8, modes=(4, 6, 8), level=0.05)"
+    replaced = dataclasses.replace(config, level=0.01)
+    assert replaced.level == 0.01 and replaced != config
     assert (replaced.basis.alpha, replaced.basis.max_order) == (config.basis.alpha, config.m)
     assert np.array_equal(replaced.basis.sigmas, config.basis.sigmas)
 
@@ -79,9 +77,9 @@ def test_config_owns_its_law_and_basis():
 def test_config_cutoffs():
     config = SteinTestConfig(N=5, m=4)
     assert config.theoretical_cutoff() == pytest.approx(3.841458820694, abs=1e-9)
-    assert config.resolve_cutoff() == config.theoretical_cutoff()
-    calibrated = SteinTestConfig(N=5, m=4, cutoff=3.5)
-    assert calibrated.resolve_cutoff() == 3.5
+    x = FiniteNLaw(5).sample(100, 1)
+    assert run_test(x, config).cutoff == config.theoretical_cutoff()
+    assert run_test(x, config, cutoff=3.5).cutoff == 3.5
 
 
 def test_standardize_exactness():
@@ -159,7 +157,7 @@ def test_mode_coefficients_match_symmetric_recurrence(N, standardized):
     x = _null_matrix(N, 60, 8, 407)
     if standardized:
         x = standardize(x)
-    for modes in (tuple(range(1, 31)), even_modes(30), (1, 3, 29), (2, 5)):
+    for modes in (tuple(range(1, 31)), even_modes(30), (1, 3, 29), (2, 5), (1, 4)):
         config = SteinTestConfig(N=N, m=max(4, *modes), modes=modes)
         mu = _mode_coefficients(x, config)
         ref = reference_coefficients(x, config)
@@ -288,7 +286,7 @@ def test_run_test_report_fields_and_decision():
     assert report.reject == (report.statistic > report.cutoff)
     if not report.reject:
         assert report.p_value > 0.05 or report.cutoff != config.theoretical_cutoff()
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     assert set(payload) == {"statistic", "dof", "cutoff", "p_value", "reject", "coefficients"}
     assert payload["coefficients"] == {4: report.coefficients[4]}
 
@@ -309,11 +307,13 @@ def test_run_test_location_scale_invariance():
 def test_run_test_with_explicit_cutoff():
     law = FiniteNLaw(5)
     x = law.sample(200, 55)
-    low = run_test(x, SteinTestConfig(N=5, m=4, cutoff=1e-6))
+    low = run_test(x, SteinTestConfig(N=5, m=4), cutoff=1e-6)
     assert low.reject  # any positive statistic exceeds a tiny cutoff
-    high = run_test(x, SteinTestConfig(N=5, m=4, cutoff=1e6))
+    high = run_test(x, SteinTestConfig(N=5, m=4), cutoff=1e6)
     assert not high.reject
     assert low.statistic == high.statistic
+    with pytest.raises(ConfigError):
+        run_test(x, SteinTestConfig(N=5, m=4), cutoff=-1.0)
 
 
 def test_run_test_standardize_toggle():
@@ -418,6 +418,6 @@ def test_run_test_output_is_pinned(N, standardize):
     for m, (t, p) in zip((4, 10, 30), per_m):
         config = SteinTestConfig(N=N, m=m)
         report = run_test(1.9 * _PIN_SAMPLE, config, standardize_first=standardize)
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert (payload["statistic"], payload["p_value"]) == (t, p)
         assert payload["coefficients"] == {str(k): v for k, v in zip(config.modes, mus)}
