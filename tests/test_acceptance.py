@@ -154,10 +154,16 @@ def test_criterion_06_gram_matrix():
     start = time.perf_counter()
     law = FiniteNLaw(5)
     basis = JacobiBasis.for_system(5.0, 10)
-    draws = law.sample(200_000, MASTER_SEED) / law.support_bound
+    # Each entry's Monte Carlo error is about 1/sqrt(draws) times the spread
+    # of psi_j psi_k, so 2,000,000 draws put the 0.02 bound several errors
+    # out; the long-double psi rows are formed 200,000 draws at a time.
+    draws = law.sample(2_000_000, MASTER_SEED) / law.support_bound
     modes = range(4, 11)
-    psi = np.vstack([jacobi_psi(basis, k, draws) for k in modes])
-    gram = (psi @ psi.T) / draws.size
+    gram = np.zeros((len(modes), len(modes)))
+    for chunk in np.split(draws, 10):
+        psi = np.vstack([jacobi_psi(basis, k, chunk) for k in modes])
+        gram += psi @ psi.T
+    gram /= draws.size
     deviation = float(np.max(np.abs(gram - np.eye(len(gram)))))
     elapsed = time.perf_counter() - start
     _report(6, "orthonormality (Gram)", deviation <= 0.02,
