@@ -27,12 +27,22 @@ def batch_edf_statistics(samples, law) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_edf_statistics expects a (reps, n) matrix")
     n = x.shape[1]
-    u = law.cdf(np.sort(x, axis=-1))
+    # The sorted copy becomes the one work buffer once u is formed; every
+    # step below writes into it or into u, so no other (reps, n) array is made.
+    work = np.sort(x, axis=-1)
+    u = law.cdf(work)
     i = np.arange(1, n + 1, dtype=float)
 
-    ks = np.maximum(i / n - u, u - (i - 1.0) / n).max(axis=-1)
-    cvm = 1.0 / (12.0 * n) + ((u - (2.0 * i - 1.0) / (2.0 * n)) ** 2).sum(axis=-1)
+    ks = np.subtract(i / n, u, out=work).max(axis=-1)
+    np.maximum(ks, np.subtract(u, (i - 1.0) / n, out=work).max(axis=-1), out=ks)
 
-    uc = np.clip(u, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    ad = -n - ((2.0 * i - 1.0) * (np.log(uc) + np.log(1.0 - uc[..., ::-1]))).sum(axis=-1) / n
+    np.subtract(u, (2.0 * i - 1.0) / (2.0 * n), out=work)
+    cvm = 1.0 / (12.0 * n) + np.square(work, out=work).sum(axis=-1)
+
+    np.clip(u, _LOG_CLAMP, 1.0 - _LOG_CLAMP, out=u)
+    np.log(u, out=work)
+    np.log(np.subtract(1.0, u, out=u), out=u)
+    work += u[..., ::-1]
+    work *= 2.0 * i - 1.0
+    ad = -n - work.sum(axis=-1) / n
     return ks, cvm, ad
