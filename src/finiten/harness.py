@@ -449,10 +449,12 @@ def _compare_kernel(x, config) -> np.ndarray:
 
 def check_compare(N: float, n_values, m: int, reps: int, level: float):
     """The checks of :func:`compare_edf`, for a caller to run before it draws a
-    seed: its config, reps, and distinct sample sizes n >= 2."""
+    seed: its config, reps, and a nonempty set of distinct sample sizes n >= 2."""
     config = SteinTestConfig(N=N, m=m, level=level)
     reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
     n_values = tuple(check_int(n, "comparison sample size", 2) for n in n_values)
+    if not n_values:
+        raise ConfigError("n_values must be nonempty")
     if len(set(n_values)) != len(n_values):
         raise ConfigError(f"n_values has duplicate values: {n_values}")
     return config, n_values, reps

@@ -303,6 +303,13 @@ def test_grid_rejects_duplicate_m_values_before_running():
     ]
 
 
+def test_compare_rejects_an_empty_n_list_before_running():
+    result = run_cli("compare", "--N", "5", "--n-values", ",", "--seed", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["finiten: error: n_values must be nonempty"]
+
+
 def test_test_command_reports_sigma_overflow_in_one_line():
     result = run_cli("test", "--N", "1e15", "--m", "100", stdin="0.1 -0.2 0.3\n")
     assert result.returncode == 2

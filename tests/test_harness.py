@@ -421,6 +421,8 @@ def test_compare_edf_validates_every_n_before_simulating(monkeypatch):
         compare_edf(20.0, [200, 10.7], reps=1000)
     with pytest.raises(ConfigError, match="n_values has duplicate values"):
         compare_edf(20.0, [50, 50], reps=1000)
+    with pytest.raises(ConfigError, match="n_values must be nonempty"):
+        compare_edf(20.0, [], reps=1000)
 
 
 def test_compare_pipeline_controls_size():
