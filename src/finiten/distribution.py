@@ -11,6 +11,11 @@ the law and for its Gaussian alternative, the closed-form
 Kullback-Leibler divergence to the standard normal, and the
 large-deviation power proxy 1 - exp(-n * KL).
 
+The null sampler is Ulrich's two-uniform transform of the symmetric
+Beta((N - 1)/2, (N - 1)/2) law, exact and rejection-free for N > 2: draw
+i is sqrt(N) sqrt(1 - U^(2/(N-2))) cos(2 pi V) from uniforms 2i and
+2i + 1 of the stream, computed in place a fixed-size chunk at a time.
+
 With nu = N - 1 the law is the Student-t_nu law mapped by
 x = sqrt(N) t / sqrt(nu + t^2), so sin(theta) = x / sqrt(N). For integer
 N up to 400 the CDF is the finite trigonometric sum of Abramowitz &
@@ -48,6 +53,9 @@ _CLOSED_FORM_MAX_N = 400
 # sum; in the upper tail its rounding jitter of a few ulp would make F
 # non-monotone.
 _TAIL = 1e-3
+
+# Draws per fill of the sampler's (chunk, 2) scratch of uniform pairs.
+_SAMPLE_CHUNK = 8192
 
 # From x = (N - 1)/2 >= _SERIES_X the log-gamma and digamma differences
 # give way to their asymptotic series, whose 12 terms are then accurate to
@@ -226,17 +234,37 @@ class FiniteNLaw:
         return self.support_bound * (2.0 * z - 1.0)
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """Draw n i.i.d. values via the exact symmetric-Beta construction.
+        """Draw n i.i.d. values by Ulrich's transform of the symmetric Beta.
 
-        B ~ Beta((N-1)/2, (N-1)/2) mapped affinely onto the support;
-        rejection-free and valid for every N > 3. Deterministic given the
-        seed (an int, SeedSequence, or Generator).
+        x = sqrt(N) sqrt(1 - U^(2/(N-2))) cos(2 pi V) with U, V uniform is
+        exact and rejection-free for every N > 2 (Ulrich, JRSS C 33 (1984)
+        158-163; Devroye 1986, ch. IX); as N grows it becomes Box-Muller.
+        Draw i takes uniforms 2i (as U = 1 - u, in (0, 1]) and 2i + 1 (V)
+        of the generator's stream, so ``sample(k)`` is a prefix of
+        ``sample(k')`` for k < k'. Deterministic given the seed (an int,
+        SeedSequence, or Generator).
         """
         n = check_int(n, "sample size", 1)
         rng = np.random.default_rng(seed)
-        a = self._beta_shape
-        b = rng.beta(a, a, size=n)
-        return self.support_bound * (2.0 * b - 1.0)
+        power = 2.0 / (self.N - 2.0)
+        out = np.empty(n)
+        # Pairs are drawn into one small scratch, a chunk at a time; the
+        # stream is consumed in order, so chunking does not change the draws.
+        scratch = np.empty((min(n, _SAMPLE_CHUNK), 2))
+        for start in range(0, n, _SAMPLE_CHUNK):
+            x = out[start:start + _SAMPLE_CHUNK]
+            pairs = rng.random(out=scratch[:x.size])
+            np.subtract(1.0, pairs[:, 0], out=x)
+            np.log(x, out=x)
+            x *= power
+            np.expm1(x, out=x)
+            np.negative(x, out=x)
+            np.sqrt(x, out=x)
+            cos = pairs[:, 1]
+            cos *= 2.0 * math.pi
+            x *= np.cos(cos, out=cos)
+            x *= self.support_bound
+        return out
 
     def sample_gaussian_alternative(self, n: int, seed) -> np.ndarray:
         """Draw n i.i.d. standard normal values (the infinite-N alternative).

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize, special, stats
 
 from finiten import FiniteNLaw
 from finiten.distribution import _CLOSED_FORM_MAX_N, _TAIL
@@ -204,6 +204,48 @@ def test_sample_matches_quantiles():
         q = law.quantile(p)
         band = 3.0 * math.sqrt(p * (1 - p) / n) / law.density(q)
         assert abs(x[int(p * n)] - q) < band
+
+
+def even_moment(N, k):
+    """E x^(2k) = N^k prod_{i<=k} (2i - 1)/(N + 2i - 2) under the law."""
+    return N**k * math.prod((2 * i - 1) / (N + 2 * i - 2) for i in range(1, k + 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [3.5, 4, 5, 7, 20, 1e8])
+def test_sample_matches_cdf_and_even_moments(N):
+    law = FiniteNLaw(N)
+    x = law.sample(1_000_000, 11)
+    assert np.max(np.abs(x)) <= law.support_bound
+    assert stats.kstest(x, law.cdf).pvalue > 1e-3
+    for k in (1, 2, 3):
+        moment = even_moment(N, k)
+        se = math.sqrt((even_moment(N, 2 * k) - moment**2) / x.size)
+        assert abs(np.mean(x ** (2 * k)) - moment) < 4.0 * se
+
+
+def ulrich_reference(N, n, rng):
+    """Ulrich's transform on one (n, 2) array of uniforms, with the sampler's
+    operations in the sampler's order."""
+    pairs = rng.random((n, 2))
+    radius = np.sqrt(-np.expm1(np.log(1.0 - pairs[:, 0]) * (2.0 / (N - 2.0))))
+    return radius * np.cos(pairs[:, 1] * (2.0 * math.pi)) * math.sqrt(N)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 8191, 8192, 8193])
+def test_sample_is_a_prefix_of_longer_draws(k):
+    law = FiniteNLaw(5)
+
+    def stream():
+        return np.random.Generator(np.random.Philox(key=2024))
+
+    longer = law.sample(20_000, stream())
+    assert np.array_equal(longer, ulrich_reference(5.0, 20_000, stream()))
+    rng = stream()
+    assert np.array_equal(law.sample(k, rng), longer[:k])
+    # draw i took uniforms 2i and 2i + 1 of the stream, and no others
+    assert rng.random() == stream().random(2 * k + 1)[-1]
 
 
 def test_gaussian_alternative():
