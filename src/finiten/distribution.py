@@ -254,15 +254,17 @@ class FiniteNLaw:
         for start in range(0, n, _SAMPLE_CHUNK):
             x = out[start:start + _SAMPLE_CHUNK]
             pairs = rng.random(out=scratch[:x.size])
+            # 1 - U^(2/(N-2)) as -expm1(log(U) 2/(N-2)), which keeps its
+            # digits at large N; log never sees 0 since U > 0.
             np.subtract(1.0, pairs[:, 0], out=x)
             np.log(x, out=x)
             x *= power
             np.expm1(x, out=x)
             np.negative(x, out=x)
             np.sqrt(x, out=x)
-            cos = pairs[:, 1]
-            cos *= 2.0 * math.pi
-            x *= np.cos(cos, out=cos)
+            angle = pairs[:, 1]
+            angle *= 2.0 * math.pi
+            x *= np.cos(angle, out=angle)
             x *= self.support_bound
         return out
 
