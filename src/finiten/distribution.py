@@ -11,10 +11,9 @@ the law and for its Gaussian alternative, the closed-form
 Kullback-Leibler divergence to the standard normal, and the
 large-deviation power proxy 1 - exp(-n * KL).
 
-The null sampler is Ulrich's two-uniform transform of the symmetric
-Beta((N - 1)/2, (N - 1)/2) law, exact and rejection-free for N > 2: draw
-i is sqrt(N) sqrt(1 - U^(2/(N-2))) cos(2 pi V) from uniforms 2i and
-2i + 1 of the stream, computed in place a fixed-size chunk at a time.
+The null sampler is Ulrich's exact two-uniform transform of the symmetric
+Beta((N - 1)/2, (N - 1)/2) law; draw i takes uniforms 2i and 2i + 1 of
+the stream, so shorter draws are prefixes of longer ones.
 
 With nu = N - 1 the law is the Student-t_nu law mapped by
 x = sqrt(N) t / sqrt(nu + t^2), so sin(theta) = x / sqrt(N). For integer

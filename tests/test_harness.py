@@ -377,7 +377,7 @@ def test_sanov_and_boundary_monotone_in_N_up_to_1e8():
 
 
 # compare_edf(20, [300, 600], reps=1000) rows as (stein, ks, cvm, ad) powers
-# per n, recorded before the CDF took its closed form for integer N
+# per n, recorded when the null sampler became Ulrich's transform
 PINNED_COMPARE_ROWS = {
     (3, True): ((0.298, 0.06, 0.087, 0.1), (0.441, 0.11, 0.121, 0.146)),
     (3, False): ((0.322, 0.048, 0.045, 0.048), (0.48, 0.048, 0.033, 0.041)),
