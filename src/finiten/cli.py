@@ -57,8 +57,8 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _open_output(path: str | None):
-    """Open an output path for writing now, so that a bad path fails before
-    any work: '-' is standard output and None is no output."""
+    """Open an output path: '-' is standard output and None is no output. Every
+    handler opens after its last check and before its first random draw."""
     if path is None:
         return contextlib.nullcontext()
     if path == "-":
@@ -66,19 +66,10 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_output(path: str, text: str) -> None:
-    with _open_output(path) as fh:
-        fh.write(text)
-
-
 def _table_text(args, csv_text: str, payload) -> str:
     """A table command's result: the CSV text, or under --format json the
     payload as one JSON line."""
     return json.dumps(payload) + "\n" if args.format == "json" else csv_text
-
-
-def _emit(args, csv_text: str, payload) -> None:
-    _write_output(args.output, _table_text(args, csv_text, payload))
 
 
 def _csv_text(lines) -> str:
@@ -221,36 +212,42 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sample(args) -> int:
     law = FiniteNLaw(args.N)
     draw = law.sample if args.hypothesis == "h0" else law.sample_gaussian_alternative
-    values = draw(check_int(args.n, "sample size", 1), _resolve_seed(args.seed))
-    _write_output(args.output, "".join(f"{v:.17g}\n" for v in values))
+    n = check_int(args.n, "sample size", 1)
+    seed = _resolve_seed(args.seed)
+    with _open_output(args.output) as out:
+        out.write("".join(f"{v:.17g}\n" for v in draw(n, seed)))
     return 0
 
 
 def _cmd_test(args) -> int:
     values = _read_numbers(args.input)
-    modes = _modes_argument(args.modes)
-    config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
+    config = SteinTestConfig(N=args.N, m=args.m, modes=_modes_argument(args.modes), level=args.level)
+    calibrated = args.cutoff == "calibrated"
     cutoff = None  # the chi-squared cutoff
-    if args.cutoff == "calibrated":
-        # calibrate under the same pipeline the decision will use
+    if calibrated:
         harness.check_calibration(len(values), config, args.reps, args.standardize)
-        cutoff = harness.calibrate(len(values), config, args.reps, _resolve_seed(args.seed),
-                                   standardize_first=args.standardize)
     elif args.cutoff != "theoretical":
         try:
             cutoff = float(args.cutoff)
         except ValueError:
             raise FiniteNError("--cutoff must be 'theoretical', 'calibrated', or a number, "
                                f"got {args.cutoff!r}")
+    # run_test refuses a bad sample, so it runs before a seed is drawn
     report = run_test(values, config, standardize_first=args.standardize, cutoff=cutoff)
-
+    seed = _resolve_seed(args.seed) if calibrated else None
     header = ",".join(["statistic,dof,cutoff,p_value,reject", *(f"mu_{k}" for k in config.modes)])
-    line = ",".join(
-        [f"{report.statistic:.10g}", str(report.dof), f"{report.cutoff:.10g}",
-         f"{report.p_value:.10g}", "true" if report.reject else "false"]
-        + [f"{report.coefficients[k]:.10g}" for k in config.modes]
-    )
-    _emit(args, _csv_text([header, line]), dataclasses.asdict(report))
+    with _open_output(args.output) as out:
+        if calibrated:
+            # calibrate under the same pipeline the decision will use
+            cutoff = harness.calibrate(len(values), config, args.reps, seed,
+                                       standardize_first=args.standardize)
+            report = run_test(values, config, standardize_first=args.standardize, cutoff=cutoff)
+        line = ",".join(
+            [f"{report.statistic:.10g}", str(report.dof), f"{report.cutoff:.10g}",
+             f"{report.p_value:.10g}", "true" if report.reject else "false"]
+            + [f"{report.coefficients[k]:.10g}" for k in config.modes]
+        )
+        out.write(_table_text(args, _csv_text([header, line]), dataclasses.asdict(report)))
     return 1 if args.fail_on_reject and report.reject else 0
 
 
@@ -258,8 +255,9 @@ def _cmd_sigma_table(args) -> int:
     basis = JacobiBasis.for_system(args.N, args.m)
     sigmas = {k: float(basis.sigmas[k - 1]) for k in range(1, args.m + 1)}
     csv_text = _csv_text(["k,sigma", *(f"{k},{s:.10g}" for k, s in sigmas.items())])
-    # json.dumps writes the int keys of sigmas as strings
-    _emit(args, csv_text, {"N": args.N, "alpha": basis.alpha, "sigma": sigmas})
+    with _open_output(args.output) as out:
+        # json.dumps writes the int keys of sigmas as strings
+        out.write(_table_text(args, csv_text, {"N": args.N, "alpha": basis.alpha, "sigma": sigmas}))
     return 0
 
 
@@ -267,6 +265,8 @@ def _cmd_dist(args) -> int:
     law = FiniteNLaw(args.N)
     if args.x is None and args.p is None:
         raise FiniteNError("dist requires --x and/or --p")
+    if [] in (args.x, args.p):
+        raise FiniteNError("--x and --p must be nonempty")
     lines = []
     if args.x is not None:
         lines.append("x,density,log_density,cdf")
@@ -275,21 +275,22 @@ def _cmd_dist(args) -> int:
     if args.p is not None:
         lines.append("p,quantile")
         lines += [f"{p:.10g},{law.quantile(p):.10g}" for p in args.p]
-    _write_output(args.output, _csv_text(lines))
+    with _open_output(args.output) as out:
+        out.write(_csv_text(lines))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    modes = _modes_argument(args.modes)
-    config = SteinTestConfig(N=args.N, m=args.m, modes=modes, level=args.level)
+    config = SteinTestConfig(N=args.N, m=args.m, modes=_modes_argument(args.modes), level=args.level)
     harness.check_calibration(args.n, config, args.reps)
     seed = _resolve_seed(args.seed)
-    entry = harness.CalibrationEntry(
-        N=float(args.N), n=args.n, m=args.m, level=args.level,
-        cutoff=harness.calibrate(args.n, config, args.reps, seed), reps=args.reps, seed=seed,
-    )
-    _emit(args, harness.records_to_csv(harness.CalibrationEntry, [entry]),
-          harness.records_to_json([entry]))
+    with _open_output(args.output) as out:
+        entry = harness.CalibrationEntry(
+            N=float(args.N), n=args.n, m=args.m, level=args.level,
+            cutoff=harness.calibrate(args.n, config, args.reps, seed), reps=args.reps, seed=seed,
+        )
+        out.write(_table_text(args, harness.records_to_csv(harness.CalibrationEntry, [entry]),
+                              harness.records_to_json([entry])))
     return 0
 
 
@@ -313,6 +314,9 @@ def _cmd_grid(args) -> int:
             overrides |= {**defaults, **given}
     spec = harness.GridSpec(level=args.level, **overrides)
     check_int(args.workers, "workers", 1)
+    if (args.calibration_out not in (None, "-") and args.output != "-"
+            and os.path.realpath(args.output) == os.path.realpath(args.calibration_out)):
+        raise FiniteNError(f"--output and --calibration-out name the same file: {args.output}")
     spec = dataclasses.replace(spec, master_seed=_resolve_seed(args.seed))
     total = len(spec.cells())
     done = itertools.count(1)
@@ -339,14 +343,16 @@ def _cmd_sanov(args) -> int:
                           *(f"{N:g}," + ",".join(row) for N, row in zip(args.N, table))])
     payload = {"N_values": args.N, "n_values": args.n,
                "power": [[float(v) for v in row] for row in table]}
-    _emit(args, csv_text, payload)
+    with _open_output(args.output) as out:
+        out.write(_table_text(args, csv_text, payload))
     return 0
 
 
 def _cmd_boundary(args) -> int:
     pairs = harness.power_boundary(args.N_values, args.target)
-    _emit(args, _csv_text(["N,n_star", *(f"{N:g},{n}" for N, n in pairs)]),
-          [{"N": N, "n_star": n} for N, n in pairs])
+    with _open_output(args.output) as out:
+        out.write(_table_text(args, _csv_text(["N,n_star", *(f"{N:g},{n}" for N, n in pairs)]),
+                              [{"N": N, "n_star": n} for N, n in pairs]))
     return 0
 
 

@@ -415,22 +415,32 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
 # Deterministic tables
 # ----------------------------------------------------------------------
 
+def _nonempty(name: str, values) -> tuple:
+    values = tuple(values)
+    if not values:
+        raise ConfigError(f"{name} must be nonempty")
+    return values
+
+
 def sanov_table(N_values, n_values) -> np.ndarray:
     """Large-deviation power proxy 1 - exp(-n * KL) on the cross product.
 
     Rows follow N_values, columns follow n_values; fully deterministic.
+    Either axis empty raises ConfigError.
     """
+    N_values, n_values = _nonempty("N_values", N_values), _nonempty("n_values", n_values)
     laws = [FiniteNLaw(N) for N in N_values]
     return np.array([[law.sanov_power_proxy(n) for n in n_values] for law in laws])
 
 
 def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
-    """Smallest n with sanov power proxy >= target, for each N."""
+    """Smallest n with sanov power proxy >= target, for each N; an empty
+    N_values raises ConfigError."""
     target = float(target_power)
     if not 0.0 < target < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
     out = []
-    for N in N_values:
+    for N in _nonempty("N_values", N_values):
         kl = FiniteNLaw(N).kl_to_gaussian()
         n_star = max(1, math.ceil(-math.log1p(-target) / kl))
         out.append((float(N), int(n_star)))
@@ -452,9 +462,7 @@ def check_compare(N: float, n_values, m: int, reps: int, level: float):
     seed: its config, reps, and a nonempty set of distinct sample sizes n >= 2."""
     config = SteinTestConfig(N=N, m=m, level=level)
     reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
-    n_values = tuple(check_int(n, "comparison sample size", 2) for n in n_values)
-    if not n_values:
-        raise ConfigError("n_values must be nonempty")
+    n_values = _nonempty("n_values", (check_int(n, "comparison sample size", 2) for n in n_values))
     if len(set(n_values)) != len(n_values):
         raise ConfigError(f"n_values has duplicate values: {n_values}")
     return config, n_values, reps

@@ -429,25 +429,97 @@ def test_test_command_refuses_modes_1_and_2_when_standardising(tmp_path, capsys)
     assert capsys.readouterr().out.startswith("statistic,dof,cutoff,p_value,reject,mu_1,mu_2,")
 
 
-@pytest.mark.parametrize("argv, runner", [
+@pytest.mark.parametrize("argv, owner, runner", [
     (["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4", "--output", "{bad}"],
-     "run_grid"),
+     harness, "run_grid"),
     (["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4",
-      "--calibration-out", "{bad}"], "run_grid"),
-    (["compare", "--N", "5", "--n-values", "10", "--output", "{bad}"], "compare_edf"),
-], ids=["grid-output", "grid-calibration-out", "compare-output"])
-def test_unwritable_output_fails_before_any_work(argv, runner, tmp_path, monkeypatch, capsys):
+      "--calibration-out", "{bad}"], harness, "run_grid"),
+    (["compare", "--N", "5", "--n-values", "10", "--output", "{bad}"], harness, "compare_edf"),
+    (["calibrate", "--N", "5", "--n", "10", "--output", "{bad}"], harness, "calibrate"),
+    (["sample", "--N", "5", "--n", "10", "--output", "{bad}"], FiniteNLaw, "sample"),
+    (["test", "--N", "5", "--input", "{data}", "--cutoff", "calibrated", "--output", "{bad}"],
+     harness, "calibrate"),
+], ids=["grid-output", "grid-calibration-out", "compare-output", "calibrate-output",
+        "sample-output", "test-calibrated-output"])
+def test_unwritable_output_fails_before_any_work(argv, owner, runner, tmp_path, monkeypatch,
+                                                 capsys):
     def no_run(*args, **kwargs):
         raise AssertionError(f"{runner} was called")
 
-    monkeypatch.setattr(harness, runner, no_run)
+    monkeypatch.setattr(owner, runner, no_run)
     bad = str(tmp_path / "nodir" / "out.csv")
-    assert cli.main([arg.format(bad=bad) for arg in argv] + ["--seed", "1"]) == 2
+    data = tmp_path / "data.txt"
+    data.write_text("0.1 -0.4 1.2 0.7 -1.1\n")
+    assert cli.main([arg.format(bad=bad, data=data) for arg in argv] + ["--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("finiten: error: ") and bad in lines[0]
+
+
+@pytest.mark.parametrize("sample, message", [
+    ("1 1 1 1 1 1", "sample is constant"),
+    ("0.1 nan 0.3 0.5", "sample values must be finite"),
+], ids=["constant", "nan"])
+def test_calibrated_test_refuses_a_bad_sample_before_the_seed(sample, message, tmp_path,
+                                                              monkeypatch, capsys):
+    def no_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate was called")
+
+    monkeypatch.setattr(harness, "calibrate", no_calibrate)
+    data = tmp_path / "data.txt"
+    data.write_text(sample)
+    # no --seed: a run that starts would echo the seed it draws
+    assert cli.main(["test", "--N", "5", "--input", str(data), "--cutoff", "calibrated",
+                     "--reps", "200000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"finiten: error: {message}")
+
+
+def test_grid_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
+    empty = harness.GridResult(rows=(), calibration=(), complete=True)
+    monkeypatch.setattr(harness, "run_grid", lambda spec, workers, on_cell: empty)
+    argv = ["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4", "--seed", "1",
+            "--quiet"]
+    # both to standard output: the grid CSV, then the calibration CSV
+    assert cli.main([*argv, "--output", "-", "--calibration-out", "-"]) == 0
+    assert capsys.readouterr().out == (harness.grid_result_to_csv(empty)
+                                       + "N,n,m,level,cutoff,reps,seed\n")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("run_grid was called")
+
+    monkeypatch.setattr(harness, "run_grid", no_grid)
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    (tmp_path / "link.csv").symlink_to(out)
+    monkeypatch.chdir(tmp_path)
+    for calibration_out in (str(out), "out.csv", f"{tmp_path}/./out.csv", "link.csv"):
+        assert cli.main([*argv, "--output", str(out), "--calibration-out", calibration_out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("finiten: error: --output and --calibration-out name the same "
+                                f"file: {out}\n")
+        assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sanov", "--n", ","], "n_values must be nonempty"),
+    (["sanov", "--N", ","], "N_values must be nonempty"),
+    (["boundary", "--N-values", ","], "N_values must be nonempty"),
+    (["dist", "--N", "5", "--x", ","], "--x and --p must be nonempty"),
+    (["dist", "--N", "5", "--x", "0.5", "--p", ","], "--x and --p must be nonempty"),
+], ids=["sanov-n", "sanov-N", "boundary", "dist-x", "dist-p"])
+def test_table_commands_refuse_empty_lists(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"finiten: error: {message}\n"
+    assert not out.exists()
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -363,6 +363,14 @@ def test_power_boundary():
         power_boundary((5.0,), 1.0)
 
 
+def test_sanov_and_boundary_refuse_empty_axes():
+    for call, name in ((lambda: sanov_table([], [10]), "N_values"),
+                       (lambda: sanov_table([5.0], ()), "n_values"),
+                       (lambda: power_boundary([], 0.8), "N_values")):
+        with pytest.raises(ConfigError, match=f"^{name} must be nonempty$"):
+            call()
+
+
 def test_sanov_and_boundary_monotone_in_N_up_to_1e8():
     N_values = np.geomspace(4.0, 1e8, 241)
     kl = [FiniteNLaw(N).kl_to_gaussian() for N in N_values]
