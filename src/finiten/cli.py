@@ -78,10 +78,14 @@ def _csv_text(lines) -> str:
 
 def _read_numbers(path: str) -> list[float]:
     if path == "-":
-        text = sys.stdin.read()
+        raw = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FiniteNError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
     values = []
     for token in text.split():
         try:

@@ -4,19 +4,19 @@ Calibration of critical values, size and power estimation, the
 large-deviation power table, and the comparison against classical EDF
 tests.
 
-Determinism contract: the replications of a simulation phase are cut
-into blocks of ``BLOCK`` = 512. Block b draws from one counter-based
-Philox stream whose key is an injective hash of (master seed, phase, N, n,
-b), in one vectorised call, and replication r is row r % 512 of block
-r // 512. The block size is fixed, whatever the worker count, and numpy
-fills a block in order, so the first R replications are the same for any
-reps >= R. The key holds no truncation order or mode set: every m of an
-(N, n) pair shares the same draws, and T for each m is a partial sum of
-one pass of the recurrence. No stream is shared across phases or (N, n)
-pairs, reductions are order-independent, and a pool's results are taken
-in spec order whatever order it runs them in (largest n first), so
-results are bit-identical for any worker count. Only one block of draws
-is held at a time, so large grids never materialise full sample matrices.
+Determinism contract: the replications of a simulation phase are cut into
+blocks of ``BLOCK`` = 512, and replication r is row r % 512 of block
+r // 512. Block b is one vectorised call on one counter-based Philox
+stream, keyed by an injective hash of (master seed, phase tags, N, n, b)
+that only ``_blocks`` builds. The block size is fixed, whatever the worker
+count, and numpy fills a block in order, so the first R replications are
+the same for any reps >= R. The key holds no truncation order or mode set:
+every m of an (N, n) pair shares the same draws, and T for each m is a
+partial sum of one pass of the recurrence. No stream is shared across
+phases or (N, n) pairs, reductions are order-independent, and a pool's
+results are taken in spec order though it runs the largest n first, so
+results are bit-identical for any worker count. Only one block of draws is
+held at a time, so large grids never materialise full sample matrices.
 """
 
 from __future__ import annotations
@@ -223,40 +223,32 @@ def _normalize_hypothesis(hypothesis: str) -> str:
     return name
 
 
-def _blocks(law, hypothesis, n, reps, streams, standardize_first):
-    """Yield the draws of replications 0..reps-1, one block at a time.
+def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first):
+    """Yield the draws of replications 0..reps-1 of one phase, one block at a time.
 
-    Block b comes from one vectorised draw from ``streams.rng(b)``, shaped
-    so that replication r is row r % BLOCK of block r // BLOCK. This is
-    the one place that decides whether simulated draws are standardised.
-    The raw draws are never bound to a name here, so no frame keeps them
-    alive beside their standardised copy.
+    The one place that keys a stream, from (seed, tags, config.N, n), and
+    decides whether draws are standardised. Block b is one vectorised draw
+    from block b of that stream, holding replication r in row r - b * BLOCK.
+    No name holds the raw draws, so none outlive their standardised copy.
     """
-    draw = law.sample if hypothesis == H0 else law.sample_gaussian_alternative
+    streams = ReplicationStreams(seed, *tags, config.N, n)
+    draw = config.law.sample if hypothesis == H0 else config.law.sample_gaussian_alternative
     prepare = standardize if standardize_first else np.asarray
     for block, start in enumerate(range(0, reps, BLOCK)):
         count = min(BLOCK, reps - start)
         yield prepare(draw(n * count, streams.rng(block)).reshape(count, n))
 
 
-def _collect_statistics(
-    kernel, config, hypothesis, n, reps, streams, standardize_first=False
-) -> np.ndarray:
-    """The one Monte Carlo draw loop: ``kernel(x, config)`` of every block of
-    draws x, joined along the last axis, so column r belongs to
-    replication r."""
-    blocks = _blocks(config.law, hypothesis, n, reps, streams, standardize_first)
+def _statistics(kernel, config, hypothesis, n, reps, seed, tags, standardize_first=False):
+    """The one Monte Carlo draw loop: ``kernel(x, config)`` of every block x of
+    draws, joined along the last axis, so column r belongs to replication r."""
+    blocks = _blocks(config, hypothesis, n, reps, seed, tags, standardize_first)
     return np.concatenate([kernel(x, config) for x in blocks], axis=-1)
 
 
-def _calibration_statistics(config, n, reps, seed, standardize_first=False) -> np.ndarray:
-    streams = ReplicationStreams(seed, "calibrate", config.N, n)
-    return _collect_statistics(running_statistics, config, H0, n, reps, streams, standardize_first)
-
-
-def _evaluation_statistics(config, n, hypothesis, reps, seed) -> np.ndarray:
-    streams = ReplicationStreams(seed, "evaluate", hypothesis, config.N, n)
-    return _collect_statistics(running_statistics, config, hypothesis, n, reps, streams)
+def _rate(stats, cutoff) -> float:
+    """The one rejection count: the share of ``stats`` above the cutoff."""
+    return int((stats > cutoff).sum()) / stats.size
 
 
 def empirical_cutoff(stats, level: float) -> float:
@@ -293,23 +285,15 @@ def calibrate(
     raises ConfigError, as in :func:`run_test`.
     """
     n, reps = check_calibration(n, config, reps, standardize_first)
-    stats = _calibration_statistics(config, n, reps, seed, standardize_first)
+    stats = _statistics(running_statistics, config, H0, n, reps, seed, ("calibrate",),
+                        standardize_first)
     return empirical_cutoff(stats[-1], config.level)
 
 
-def _power_rows(config, n, hypothesis, stats, seed, cutoffs) -> list[PowerRow]:
-    """One PowerRow per (cutoff_source, cutoff) pair in ``cutoffs``, each
-    comparing the same statistics ``stats`` against its cutoff."""
-    reps = stats.size
-    return [
-        PowerRow(
-            N=config.N, n=n, m=config.m, modes=config.modes,
-            cutoff_source=source, hypothesis=hypothesis,
-            rejection_rate=int((stats > cutoff).sum()) / reps,
-            reps=reps, seed=int(seed),
-        )
-        for source, cutoff in cutoffs
-    ]
+def _power_row(config, n, hypothesis, stats, seed, cutoff_source, cutoff) -> PowerRow:
+    return PowerRow(N=config.N, n=n, m=config.m, modes=config.modes, cutoff_source=cutoff_source,
+                    hypothesis=hypothesis, rejection_rate=_rate(stats, cutoff), reps=stats.size,
+                    seed=int(seed))
 
 
 def estimate_rejection(
@@ -333,9 +317,9 @@ def estimate_rejection(
         raise ConfigError(f"cutoff_source must be theoretical or calibrated, got {cutoff_source!r}")
     cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
-    stats = _evaluation_statistics(config, n, hypothesis, reps, seed)
-    (row,) = _power_rows(config, n, hypothesis, stats[-1], seed, ((cutoff_source, cutoff),))
-    return row
+    stats = _statistics(running_statistics, config, hypothesis, n, reps, seed,
+                        ("evaluate", hypothesis))
+    return _power_row(config, n, hypothesis, stats[-1], seed, cutoff_source, cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -354,21 +338,20 @@ def _grid_pair(args) -> list[CellResult]:
     seed = spec.master_seed
     configs = [SteinTestConfig(N=N, m=m, level=spec.level) for m in spec.m_values]
     widest = max(configs, key=lambda config: config.m)
-    calibration = _calibration_statistics(widest, n, spec.calib_reps, seed)
-    evaluation = {h: _evaluation_statistics(widest, n, h, spec.eval_reps, seed) for h in (H0, H1)}
+    calibration = _statistics(running_statistics, widest, H0, n, spec.calib_reps, seed,
+                              ("calibrate",))
+    evaluation = {h: _statistics(running_statistics, widest, h, n, spec.eval_reps, seed,
+                                 ("evaluate", h)) for h in (H0, H1)}
     cells = []
     for config in configs:
         row = config.dof - 1  # its even modes are a prefix of the widest's
         cutoff_cal = empirical_cutoff(calibration[row], spec.level)
-        entry = CalibrationEntry(
-            N=config.N, n=n, m=config.m, level=spec.level,
-            cutoff=cutoff_cal, reps=spec.calib_reps, seed=seed,
-        )
+        entry = CalibrationEntry(N=config.N, n=n, m=config.m, level=spec.level,
+                                 cutoff=cutoff_cal, reps=spec.calib_reps, seed=seed)
         cutoffs = ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff_cal))
-        rows = []
-        for hypothesis in (H0, H1):
-            rows += _power_rows(config, n, hypothesis, evaluation[hypothesis][row], seed, cutoffs)
-        cells.append(CellResult(calibration=entry, rows=tuple(rows)))
+        rows = tuple(_power_row(config, n, h, evaluation[h][row], seed, source, cutoff)
+                     for h in (H0, H1) for source, cutoff in cutoffs)
+        cells.append(CellResult(calibration=entry, rows=rows))
     return cells
 
 
@@ -434,16 +417,19 @@ def sanov_table(N_values, n_values) -> np.ndarray:
 
 
 def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
-    """Smallest n with sanov power proxy >= target, for each N; an empty
-    N_values raises ConfigError."""
+    """Smallest n with sanov power proxy >= target, for each N. An empty
+    N_values raises ConfigError, and an n past the float range (KL
+    underflows from about N = 1e154) raises DomainError."""
     target = float(target_power)
     if not 0.0 < target < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
     out = []
     for N in _nonempty("N_values", N_values):
         kl = FiniteNLaw(N).kl_to_gaussian()
-        n_star = max(1, math.ceil(-math.log1p(-target) / kl))
-        out.append((float(N), int(n_star)))
+        n_star = -math.log1p(-target) / kl if kl > 0.0 else math.inf
+        if not math.isfinite(n_star):
+            raise DomainError(f"n_star at N={float(N)!r} exceeds the float range")
+        out.append((float(N), max(1, math.ceil(n_star))))
     return out
 
 
@@ -487,15 +473,13 @@ def compare_edf(
     config, n_values, reps = check_compare(N, n_values, m, reps, level)
     rows: list[CompareRow] = []
     for n in n_values:
-        cal_streams = ReplicationStreams(seed, "compare-calibrate", config.N, n)
-        null_stats = _collect_statistics(
-            _compare_kernel, config, H0, n, reps, cal_streams, standardize_first)
+        null_stats = _statistics(_compare_kernel, config, H0, n, reps, seed,
+                                 ("compare-calibrate",), standardize_first)
         cutoffs = [empirical_cutoff(stats, level) for stats in null_stats]
-        eval_streams = ReplicationStreams(seed, "compare-evaluate", config.N, n)
-        alt_stats = _collect_statistics(
-            _compare_kernel, config, H1, n, reps, eval_streams, standardize_first)
+        alt_stats = _statistics(_compare_kernel, config, H1, n, reps, seed,
+                                ("compare-evaluate",), standardize_first)
         rows += [
-            CompareRow(test_name=name, n=n, calibrated_power=int((stats > cutoff).sum()) / reps)
+            CompareRow(test_name=name, n=n, calibrated_power=_rate(stats, cutoff))
             for name, stats, cutoff in zip(COMPARE_TESTS, alt_stats, cutoffs)
         ]
     return rows

@@ -1,4 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def pytest_addoption(parser):
@@ -12,6 +17,9 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: full-scale Monte Carlo, run with --runslow")
+    # child processes that run `python -m finiten` do not see the ini
+    # pythonpath, so they get the source tree through the environment
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -320,6 +320,34 @@ def test_test_command_reports_sigma_overflow_in_one_line():
     assert "exceeds the float range" in lines[0]
 
 
+@pytest.mark.parametrize("N", ["1e154", "3e154"])
+def test_boundary_reports_n_star_overflow_in_one_line(N):
+    # KL is subnormal at 1e154 and 0 at 3e154, so log(1/(1 - target)) / KL is not finite
+    result = run_cli("boundary", "--N-values", N)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"finiten: error: n_star at N={float(N)!r} exceeds the float range"
+    ]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_test_command_refuses_input_that_is_not_utf8(source, tmp_path):
+    data = b"1.0 \xff\xfe 2.0\n"
+    path = tmp_path / "binary.dat"
+    path.write_bytes(data)
+    result = subprocess.run(
+        [sys.executable, "-m", "finiten", "test", "--N", "5", "--fail-on-reject",
+         "--input", str(path) if source == "file" else "-"],
+        input=data if source == "stdin" else b"", capture_output=True, timeout=300,
+    )
+    assert result.returncode == 2  # not 1, which --fail-on-reject gives a rejection
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == [
+        "finiten: error: input is not UTF-8 text: invalid start byte at byte 4"
+    ]
+
+
 _HUGE = str(10**400)  # an integer too large for a float
 
 

@@ -33,7 +33,7 @@ from finiten.harness import (
     run_grid,
     sanov_table,
 )
-from finiten.stein_test import SteinTestConfig
+from finiten.stein_test import SteinTestConfig, running_statistics
 
 # Reference values for the closed-form large-deviation table.
 SANOV_N_VALUES = (4, 5, 6, 8, 10, 15, 20)
@@ -91,16 +91,42 @@ def test_stream_keys_are_pinned(phase):
         assert tuple(streams.rng(block).bit_generator.random_raw(2).tolist()) == expected
 
 
+# Per seed: calibrate(50, N = 5, m = 6, 1000 reps) cutoffs (raw, standardised)
+# and estimate_rejection(50, same config, chi-squared cutoff, 1000 reps) rates
+# (h0, h1). The stream pins above hash only the tags they are given; these
+# fail when a phase draws from a stream under another tag.
+PINNED_PHASE_RESULTS = {
+    3: ((6.099307339674106, 22.384012688311678), (0.048, 0.747)),
+    2026: ((5.90415203577314, 25.745508804213866), (0.061, 0.747)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_PHASE_RESULTS))
+def test_calibrate_and_evaluate_draws_are_pinned(seed):
+    config = SteinTestConfig(N=5.0, m=6)
+    cutoffs, rates = PINNED_PHASE_RESULTS[seed]
+    assert [calibrate(50, config, 1000, seed, standardize_first=standardize)
+            for standardize in (False, True)] == pytest.approx(cutoffs, rel=1e-12)
+    assert tuple(
+        estimate_rejection(50, config, h, config.theoretical_cutoff(), 1000, seed).rejection_rate
+        for h in (H0, H1)
+    ) == rates
+
+
 def test_replications_are_a_prefix_of_longer_runs():
     # 1000 and 1500 both end inside a block (512 * 2 and 512 * 3)
     assert 1000 % harness.BLOCK and 1500 % harness.BLOCK
     config = SteinTestConfig(N=5.0, m=6)
-    short = harness._calibration_statistics(config, 20, 1000, 4)
-    long = harness._calibration_statistics(config, 20, 1500, 4)
+
+    def statistics(hypothesis, reps, tags):
+        return harness._statistics(running_statistics, config, hypothesis, 20, reps, 4, tags)
+
+    short = statistics(H0, 1000, ("calibrate",))
+    long = statistics(H0, 1500, ("calibrate",))
     assert np.array_equal(short, long[:, :1000])
     for hypothesis in (H0, H1):
-        short = harness._evaluation_statistics(config, 20, hypothesis, 1000, 4)
-        long = harness._evaluation_statistics(config, 20, hypothesis, 1500, 4)
+        short = statistics(hypothesis, 1000, ("evaluate", hypothesis))
+        long = statistics(hypothesis, 1500, ("evaluate", hypothesis))
         assert np.array_equal(short, long[:, :1000])
 
 
@@ -384,6 +410,13 @@ def test_sanov_and_boundary_monotone_in_N_up_to_1e8():
     assert sizes[-1] == pytest.approx(4e16 * math.log(5.0) / 3.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("N", [1e154, 3e154])
+def test_power_boundary_refuses_an_n_star_beyond_floats(N):
+    # KL underflows: it is subnormal at 1e154 and 0 at 3e154
+    with pytest.raises(DomainError, match=r"^n_star at N=.* exceeds the float range$"):
+        power_boundary([5.0, N], 0.8)
+
+
 # compare_edf(20, [300, 600], reps=1000) rows as (stein, ks, cvm, ad) powers
 # per n, recorded when the null sampler became Ulrich's transform
 PINNED_COMPARE_ROWS = {
@@ -439,9 +472,8 @@ def test_compare_pipeline_controls_size():
     config = SteinTestConfig(N=N, m=4, level=level)
 
     def statistics(phase):
-        streams = ReplicationStreams(5, phase, N, n)
-        return harness._collect_statistics(harness._compare_kernel, config, H0, n, reps,
-                                           streams, True)
+        return harness._statistics(harness._compare_kernel, config, H0, n, reps, 5, (phase,),
+                                   True)
 
     cal = statistics("compare-calibrate")
     assert cal.shape == (len(harness.COMPARE_TESTS), reps)
