@@ -20,16 +20,17 @@ x = sqrt(N) t / sqrt(nu + t^2), so sin(theta) = x / sqrt(N). For integer
 N up to 400 the CDF is the finite trigonometric sum of Abramowitz &
 Stegun 26.7.3-26.7.4, a polynomial in cos^2(theta) evaluated in place;
 points where it lies within 1e-3 of 0 or 1 are recomputed with the
-regularised incomplete Beta function, which keeps the lower tail's
-relative precision and both tails monotone. Other N use the incomplete
-Beta function throughout. The log normalising constant and the KL
-divergence switch from log-gamma and digamma differences to asymptotic
-series in x = (N - 1)/2 at x >= 6, so both keep full relative precision
-up to N = 1e8 and beyond.
+positive-term hypergeometric series of the incomplete Beta function
+(DLMF 8.17.8), which keeps the lower tail's relative precision and both
+tails monotone. Other N use SciPy's incomplete Beta function throughout.
+The quantile bisects the CDF. The log normalising constant and the KL
+divergence switch from log-gamma differences to asymptotic series in
+x = (N - 1)/2 at x >= 6, so both keep full relative precision up to
+N = 1e8 and beyond; below it the psi difference in KL is carried up to
+the series by the recurrence psi(y + 1) = psi(y) + 1/y.
 
-``scipy.special`` is imported inside the three methods that need it (the
-incomplete Beta CDF, the quantile, and KL below N = 13), so importing
-this module, sampling and the closed forms do not load SciPy.
+``scipy.special`` is imported only inside :meth:`FiniteNLaw._betainc_cdf`,
+so at integer N up to 400 no method loads SciPy.
 """
 
 from __future__ import annotations
@@ -47,19 +48,23 @@ __all__ = ["FiniteNLaw"]
 # degree about N/2, so above the bound betainc is about as fast and the
 # closed form's rounding error nears 1e-14.
 _CLOSED_FORM_MAX_N = 400
-# Closed-form CDF values within this of 0 or 1 are recomputed with
-# betainc. In the lower tail the closed form is 1/2 minus a nearly equal
-# sum; in the upper tail its rounding jitter of a few ulp would make F
-# non-monotone.
+# Closed-form CDF values within this of 0 or 1 are recomputed with the
+# tail series. In the lower tail the closed form is 1/2 minus a nearly
+# equal sum; in the upper tail its rounding jitter of a few ulp would make
+# F non-monotone.
 _TAIL = 1e-3
+# The tail series stops once every new term is below this share of its
+# sum. The terms fall by a ratio of at most about 0.84 (N = 400 at
+# F = 1e-3), so the neglected rest is then below 2^-57 of the sum.
+_SERIES_STOP = 2.0**-60
 
 # Draws per fill of the sampler's (chunk, 2) scratch of uniform pairs.
 _SAMPLE_CHUNK = 8192
 
-# From x = (N - 1)/2 >= _SERIES_X the log-gamma and digamma differences
+# From x = (N - 1)/2 >= _SERIES_X the log-gamma and psi differences
 # give way to their asymptotic series, whose 12 terms are then accurate to
 # a few ulp. Against 60-digit mpmath this switch point gives the smallest
-# worst KL error over N in [3.5, 25] (6e-13, against 1.4e-12 at x = 8).
+# worst KL error over N in [3.5, 25] (7e-13, against 1.3e-12 at x = 8).
 _SERIES_X = 6.0
 # log Gamma(x + 1/2) - log Gamma(x) - log(x)/2 ~ sum_k _HALF_STEP[k-1] x^(1-2k),
 # the log of DLMF 5.11.13 with a = 1/2, b = 0; by DLMF 5.11.8 the k-th
@@ -69,6 +74,8 @@ _HALF_STEP = (
     -5461 / 425984, 929569 / 15728640, -3202291 / 8912896, 221930581 / 79691776,
     -4722116521 / 176160768, 968383680827 / 3087007744,
 )
+# x^2 l'(x) ~ sum_k _HALF_STEP_SLOPE[k-1] x^(2-2k), with l(x) the series above.
+_HALF_STEP_SLOPE = tuple((1 - 2 * k) * a for k, a in enumerate(_HALF_STEP, start=1))
 # With l(x) the series above, psi(x + 1/2) - psi(x) = 1/(2x) + l'(x) (DLMF
 # 5.11.2), and KL = l(x) - log1p(1/(2x))/2 + 1/(2x) - (x - 1) l'(x). Its 1
 # and 1/x terms cancel exactly, leaving KL ~ sum_{j>=2} _KL_SERIES[j-2] x^-j
@@ -155,18 +162,19 @@ class FiniteNLaw:
         Integer N up to 400 use the closed form of Abramowitz & Stegun
         26.7.3-26.7.4 (see :meth:`_closed_form_cdf`), within 5e-15 of the
         incomplete Beta function. Where it gives less than 1e-3 or more
-        than 1 - 1e-3, the point is recomputed with the incomplete Beta
-        function, so the lower tail keeps its relative precision and both
-        tails are monotone. Other N use the incomplete Beta function
-        throughout. cdf(0) is exactly 0.5 either way.
+        than 1 - 1e-3, the point is recomputed with the positive-term
+        series of :meth:`_lower_tail_cdf`, F(x) in the lower tail and
+        1 - F(-x) in the upper, so the lower tail keeps its relative
+        precision and both tails are monotone. Other N use the incomplete
+        Beta function throughout. cdf(0) is exactly 0.5 either way.
         """
         arr = check_finite(x, "evaluation points")
         if self.N.is_integer() and self.N <= _CLOSED_FORM_MAX_N:
             out = self._closed_form_cdf(arr.reshape(-1)).reshape(arr.shape)
-            tails = out < _TAIL
-            tails |= out > 1.0 - _TAIL
-            if tails.any():  # so closed-form points never load SciPy
-                out[tails] = self._betainc_cdf(arr[tails])
+            lower = out < _TAIL
+            upper = out > 1.0 - _TAIL
+            out[lower] = self._lower_tail_cdf(arr[lower])
+            out[upper] = 1.0 - self._lower_tail_cdf(-arr[upper])
         else:
             # Pin the centre exactly; betainc is symmetric only to rounding.
             out = np.where(arr == 0.0, 0.5, self._betainc_cdf(arr))
@@ -179,6 +187,34 @@ class FiniteNLaw:
         z = np.clip((1.0 + arr / self.support_bound) / 2.0, 0.0, 1.0)
         a = self._beta_shape
         return betainc(a, a, z)
+
+    def _lower_tail_cdf(self, arr: np.ndarray) -> np.ndarray:
+        """CDF of a 1-D array of points x <= 0, by DLMF 8.17.8.
+
+        With a = (N - 1)/2, s = x/sqrt(N) clipped to [-1, 0] and
+        z = (1 + s)/2, I_z(a, a) = z^a (1 - z)^a / (a B(a, a)) times
+        2F1(2a, 1; a + 1; z), whose k-th term is the one before times
+        (2a + k)/(a + 1 + k) z. Every term is positive, so the sum keeps
+        its relative precision. Since 1/B(a, a) = 2 sqrt(N) 4^(a - 1)
+        exp(log_norm), the prefactor is exp(log_norm + a log((1 - s)(1 + s)))
+        sqrt(N)/(2a), with the log taken as two log1p.
+        """
+        a = self._beta_shape
+        s = np.divide(arr, self.support_bound)
+        np.clip(s, -1.0, 0.0, out=s)
+        z = 0.5 * (1.0 + s)
+        with np.errstate(divide="ignore"):  # log1p(-1) at the support's end
+            prefactor = np.exp(self.log_norm + a * (np.log1p(-s) + np.log1p(s)))
+        term = np.ones_like(s)
+        total = term.copy()
+        k = 0
+        while np.any(term > _SERIES_STOP * total):
+            term *= (2.0 * a + k) / (a + 1.0 + k) * z
+            total += term
+            k += 1
+        total *= prefactor
+        total *= self.support_bound / (2.0 * a)
+        return total
 
     def _closed_form_cdf(self, arr: np.ndarray) -> np.ndarray:
         """CDF of a 1-D array for integer N, in three buffers of its size.
@@ -219,7 +255,12 @@ class FiniteNLaw:
         return f
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF on (0, 1); odd-symmetric about p = 0.5."""
+        """Inverse CDF on (0, 1); odd-symmetric about p = 0.5.
+
+        For p < 0.5 the smallest float x with cdf(x) >= p: bisection on
+        the bracket [-sqrt(N), 0], whose CDF values are 0 and 0.5, down to
+        adjacent floats.
+        """
         p = float(p)
         if not math.isfinite(p) or not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
@@ -227,10 +268,13 @@ class FiniteNLaw:
             return 0.0
         if p > 0.5:
             return -self.quantile(1.0 - p)
-        from scipy.special import betaincinv
-        a = self._beta_shape
-        z = float(betaincinv(a, a, p))
-        return self.support_bound * (2.0 * z - 1.0)
+        lo, hi = -self.support_bound, 0.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if self.cdf(mid) < p:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Draw n i.i.d. values by Ulrich's transform of the symmetric Beta.
@@ -284,14 +328,19 @@ class FiniteNLaw:
         - psi(N/2)). Strictly positive, decreasing toward 0 as N grows
         (about 3/(4 N^2)). From N = 13 on it is the series of this form in
         x = (N - 1)/2, whose O(1) and O(1/x) terms cancel exactly, so KL
-        keeps full relative precision at every N.
+        keeps full relative precision at every N. Below N = 13 the form
+        itself, with psi(x + 1/2) - psi(x) taken up to y = x + j >= 6 by
+        psi(y + 1) = psi(y) + 1/y and there given by the series.
         """
         x = (self.N - 1.0) / 2.0
         if x >= _SERIES_X:
             return _horner(_KL_SERIES, 1.0 / x) / (x * x)
-        from scipy.special import digamma
-        dpsi = digamma(x) - digamma(x + 0.5)
-        return float(self.log_norm + 0.5 * (1.0 + math.log(2.0 * math.pi)) + self.alpha * dpsi)
+        y, dpsi = x, 0.0
+        while y < _SERIES_X:
+            dpsi += 0.5 / (y * (y + 0.5))  # 1/y - 1/(y + 1/2)
+            y += 1.0
+        dpsi += 0.5 / y + _horner(_HALF_STEP_SLOPE, 1.0 / (y * y)) / (y * y)
+        return self.log_norm + 0.5 * (1.0 + math.log(2.0 * math.pi)) - self.alpha * dpsi
 
     def sanov_power_proxy(self, n: int) -> float:
         """Large-deviation benchmark for achievable test power at sample

@@ -572,7 +572,16 @@ assert ("scipy" in sys.modules) == (sys.argv[1] == "loads"), sys.argv[2:]
     ("spares", ["calibrate", "--N", "5", "--n", "10", "--reps", "1000", "--seed", "1"]),
     ("spares", ["sample", "--N", "5", "--n", "5", "--seed", "1"]),
     ("spares", ["dist", "--N", "5", "--x", "0.3"]),
+    ("spares", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000", "--seed", "1"]),
+    ("spares", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000", "--seed", "1",
+                "--no-standardize"]),
+    ("spares", ["sanov"]),
+    ("spares", ["boundary"]),
+    ("spares", ["dist", "--N", "5", "--x=-2.2,2.2", "--p", "1e-9,0.999"]),
+    ("spares", ["dist", "--N", "400", "--p", "0.001"]),
     ("loads", ["dist", "--N", "5.5", "--x", "0.3", "--p", "0.9"]),
+    ("loads", ["compare", "--N", "20.5", "--n-values", "100", "--reps", "1000", "--seed", "1"]),
+    ("loads", ["dist", "--N", "401", "--x", "-19"]),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_scipy_is_loaded_only_by_commands_that_need_it(scipy, argv, tmp_path):
     # a fresh process each, since an earlier import would hide a new one
