@@ -173,8 +173,14 @@ class FiniteNLaw:
             out = self._closed_form_cdf(arr.reshape(-1)).reshape(arr.shape)
             lower = out < _TAIL
             upper = out > 1.0 - _TAIL
-            out[lower] = self._lower_tail_cdf(arr[lower])
-            out[upper] = 1.0 - self._lower_tail_cdf(-arr[upper])
+            if lower.any() or upper.any():
+                # One series over both tails: a point's sum stops changing
+                # once its terms fall below _SERIES_STOP, so it does not
+                # depend on the other points of the call.
+                tails = self._lower_tail_cdf(np.concatenate((arr[lower], -arr[upper])))
+                split = np.count_nonzero(lower)
+                out[lower] = tails[:split]
+                out[upper] = 1.0 - tails[split:]
         else:
             # Pin the centre exactly; betainc is symmetric only to rounding.
             out = np.where(arr == 0.0, 0.5, self._betainc_cdf(arr))

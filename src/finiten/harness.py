@@ -6,17 +6,21 @@ tests.
 
 Determinism contract: the replications of a simulation phase are cut into
 blocks of ``BLOCK`` = 512, and replication r is row r % 512 of block
-r // 512. Block b is one vectorised call on one counter-based Philox
-stream, keyed by an injective hash of (master seed, phase tags, N, n, b)
-that only ``_blocks`` builds. The block size is fixed, whatever the worker
-count, and numpy fills a block in order, so the first R replications are
-the same for any reps >= R. The key holds no truncation order or mode set:
-every m of an (N, n) pair shares the same draws, and T for each m is a
-partial sum of one pass of the recurrence. No stream is shared across
-phases or (N, n) pairs, reductions are order-independent, and a pool's
-results are taken in spec order though it runs the largest n first, so
-results are bit-identical for any worker count. Only one block of draws is
-held at a time, so large grids never materialise full sample matrices.
+r // 512. Block b is drawn from one counter-based Philox stream, keyed by
+an injective hash of (master seed, phase tags, N, n, b) that only
+``_blocks`` builds, by consecutive calls on that one generator in
+whole-row tiles of about ``TILE`` elements. The samplers consume the
+stream in order and every kernel works row by row, so tiling changes no
+draw and no statistic, and the first R replications are the same for any
+reps >= R. The block size is fixed, whatever the worker count. The key
+holds no truncation order or mode set: every m of an (N, n) pair shares
+the same draws, and T for each m is a partial sum of one pass of the
+recurrence. No stream is shared across phases or (N, n) pairs, reductions
+are order-independent, and a pool's results are taken in spec order
+though it runs the largest n first, so results are bit-identical for any
+worker count. Only one tile of draws is held at a time, so peak memory no
+longer scales with 512 n and large grids never materialise full sample
+matrices.
 """
 
 from __future__ import annotations
@@ -78,6 +82,10 @@ COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 
 # Replications per stream block; part of the determinism contract.
 BLOCK = 512
+# Float64 elements per tile of draws (512 KB): a block is drawn and reduced
+# in whole-row tiles of max(1, TILE // n) rows, which stay in cache through
+# every pass of the kernels. It changes no result, only speed and memory.
+TILE = 65_536
 MIN_CALIB_REPS = 1000
 
 
@@ -224,26 +232,32 @@ def _normalize_hypothesis(hypothesis: str) -> str:
 
 
 def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first):
-    """Yield the draws of replications 0..reps-1 of one phase, one block at a time.
+    """Yield the draws of replications 0..reps-1 of one phase, one tile at a time.
 
     The one place that keys a stream, from (seed, tags, config.N, n), and
-    decides whether draws are standardised. Block b is one vectorised draw
-    from block b of that stream, holding replication r in row r - b * BLOCK.
-    No name holds the raw draws, so none outlive their standardised copy.
+    decides whether draws are standardised. Block b is drawn from block b
+    of that stream by consecutive calls, each of max(1, TILE // n) whole
+    rows, so replication r is row r - b * BLOCK of the block's tiles joined
+    in order. No name holds the raw draws, so none outlive their
+    standardised copy.
     """
     streams = ReplicationStreams(seed, *tags, config.N, n)
     draw = config.law.sample if hypothesis == H0 else config.law.sample_gaussian_alternative
     prepare = standardize if standardize_first else np.asarray
+    rows = max(1, TILE // n)
     for block, start in enumerate(range(0, reps, BLOCK)):
-        count = min(BLOCK, reps - start)
-        yield prepare(draw(n * count, streams.rng(block)).reshape(count, n))
+        rng = streams.rng(block)
+        end = min(start + BLOCK, reps)
+        for first in range(start, end, rows):
+            count = min(rows, end - first)
+            yield prepare(draw(n * count, rng).reshape(count, n))
 
 
 def _statistics(kernel, config, hypothesis, n, reps, seed, tags, standardize_first=False):
-    """The one Monte Carlo draw loop: ``kernel(x, config)`` of every block x of
+    """The one Monte Carlo draw loop: ``kernel(x, config)`` of every tile x of
     draws, joined along the last axis, so column r belongs to replication r."""
-    blocks = _blocks(config, hypothesis, n, reps, seed, tags, standardize_first)
-    return np.concatenate([kernel(x, config) for x in blocks], axis=-1)
+    tiles = _blocks(config, hypothesis, n, reps, seed, tags, standardize_first)
+    return np.concatenate([kernel(x, config) for x in tiles], axis=-1)
 
 
 def _rate(stats, cutoff) -> float:

@@ -165,6 +165,23 @@ def test_cdf_scalar_and_array_inputs_agree(N):
         assert type(zero_d) is float and zero_d == expected
 
 
+@pytest.mark.parametrize("N", [4, 5, 14, 20, _CLOSED_FORM_MAX_N])
+def test_cdf_does_not_depend_on_the_batch(N):
+    # the Monte Carlo harness evaluates one block's points in tiles of any size
+    law = FiniteNLaw(N)
+    edge, q = law.support_bound, law.quantile(_TAIL)
+    rng = np.random.default_rng(N)
+    xs = np.concatenate([rng.uniform(-edge, q, 60), rng.uniform(q, -q, 60),
+                         rng.uniform(-q, edge, 60)])
+    rng.shuffle(xs)
+    batch = law.cdf(xs)
+    assert np.array_equal(batch, [law.cdf(x) for x in xs])
+    for split in (1, xs.size // 2, xs.size - 1):
+        assert np.array_equal(batch, np.concatenate([law.cdf(xs[:split]), law.cdf(xs[split:])]))
+    for part in (xs < q, xs > -q, (q <= xs) & (xs <= -q)):  # one tail, or the body, alone
+        assert np.array_equal(batch[part], law.cdf(xs[part]))
+
+
 @pytest.mark.parametrize("N", [3.5, 4.001, 20.5, _CLOSED_FORM_MAX_N + 1, 1000])
 def test_cdf_off_the_closed_form_is_betainc(N):
     x = cdf_points(N)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -128,6 +129,42 @@ def test_replications_are_a_prefix_of_longer_runs():
         short = statistics(hypothesis, 1000, ("evaluate", hypothesis))
         long = statistics(hypothesis, 1500, ("evaluate", hypothesis))
         assert np.array_equal(short, long[:, :1000])
+
+
+@pytest.mark.parametrize("kernel", [running_statistics, harness._compare_kernel])
+@pytest.mark.parametrize("standardize", [False, True])
+def test_tiling_changes_no_statistic(monkeypatch, kernel, standardize):
+    # 600 replications end inside the second block, and the default tile of
+    # n = 300 holds 218 rows, so the unpatched run already splits each block
+    config, n, reps = SteinTestConfig(N=20.0, m=6), 300, 600
+    assert reps % harness.BLOCK and harness.TILE // n < harness.BLOCK
+
+    def statistics(hypothesis):
+        return harness._statistics(kernel, config, hypothesis, n, reps, 5, ("tiles", hypothesis),
+                                   standardize)
+
+    expected = {h: statistics(h) for h in (H0, H1)}
+    # one row per tile; 3 rows, which do not divide a block; one whole block
+    for tile in (1, 3 * n, harness.BLOCK * n):
+        monkeypatch.setattr(harness, "TILE", tile)
+        rows = [x.shape[0] for x in harness._blocks(config, H0, n, reps, 5, ("tiles",), False)]
+        assert max(rows) == min(max(1, tile // n), harness.BLOCK) and sum(rows) == reps
+        for h in (H0, H1):
+            assert np.array_equal(statistics(h), expected[h]), (tile, h)
+
+
+def test_monte_carlo_peak_memory_does_not_scale_with_the_block():
+    # one 512-row block of n = 2000 draws alone is 8 MB; tiles hold 0.5 MB
+    def peak_mb(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mb(lambda: compare_edf(20.0, [2000], reps=1000, seed=1)) < 8.0
+    assert peak_mb(lambda: calibrate(500, SteinTestConfig(N=5, m=10), 2000, 1)) < 6.0
 
 
 def test_empirical_cutoff_order_statistic():
