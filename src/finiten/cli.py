@@ -119,6 +119,13 @@ def _table_tail(p, func) -> None:
     _tail(p, func)
 
 
+def _workers_option(p) -> None:
+    """--workers of grid and compare, by default the CPUs this process may use."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    p.add_argument("--workers", type=int, default=usable or 1,
+                   help="processes for the Monte Carlo work (default: usable CPUs, %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="finiten", description=__doc__)
     reference = harness.GridSpec()
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"use {reference.calib_reps:,} calibration / "
                         f"{reference.eval_reps:,} evaluation replications")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    _workers_option(p)
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     p.add_argument("--calibration-out", default=None,
                    help="also write the calibration table CSV to this path")
@@ -208,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-standardize", dest="standardize", action="store_false")
+    _workers_option(p)
     _table_tail(p, _cmd_compare)
 
     return parser
@@ -362,10 +370,12 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_compare(args) -> int:
     harness.check_compare(args.N, args.n_values, args.m, args.reps, args.level)
+    check_int(args.workers, "workers", 1)
     seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:
         rows = harness.compare_edf(args.N, args.n_values, m=args.m, reps=args.reps, seed=seed,
-                                   level=args.level, standardize_first=args.standardize)
+                                   level=args.level, standardize_first=args.standardize,
+                                   workers=args.workers)
         out.write(_table_text(args, harness.records_to_csv(harness.CompareRow, rows),
                               harness.records_to_json(rows)))
     return 0

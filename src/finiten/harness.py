@@ -15,12 +15,14 @@ draw and no statistic, and the first R replications are the same for any
 reps >= R. The block size is fixed, whatever the worker count. The key
 holds no truncation order or mode set: every m of an (N, n) pair shares
 the same draws, and T for each m is a partial sum of one pass of the
-recurrence. No stream is shared across phases or (N, n) pairs, reductions
-are order-independent, and a pool's results are taken in spec order
-though it runs the largest n first, so results are bit-identical for any
-worker count. Only one tile of draws is held at a time, so peak memory no
-longer scales with 512 n and large grids never materialise full sample
-matrices.
+recurrence. No stream is shared across phases or (N, n) pairs and
+reductions are order-independent. ``run_grid`` and ``compare_edf`` share
+one pool path, ``_run_units``: a grid's unit is an (N, n) pair and a
+comparison's an (n, phase) pair; a pool of at most ``workers`` processes,
+never more than there are units, runs the largest n first, and results
+are taken in unit order, so they are bit-identical for any worker count.
+Only one tile of draws is held at a time, so peak memory no longer scales
+with 512 n and large grids never materialise full sample matrices.
 """
 
 from __future__ import annotations
@@ -337,6 +339,31 @@ def estimate_rejection(
 
 
 # ----------------------------------------------------------------------
+# Process pool
+# ----------------------------------------------------------------------
+
+def _run_units(fn, units, workers, n_of):
+    """Yield ``fn(unit)`` for every unit, in unit order: the one pool path.
+
+    One worker runs the units in this process, in order. More run them
+    on a pool of at most ``workers`` processes, never more than there are
+    units, which gets the units largest ``n_of(unit)`` first (ties in unit
+    order), so the longest start first. Units share nothing, so the
+    results are the same for any worker count. Forked workers (the
+    default start method on Linux) share what this process imported.
+    """
+    workers = min(check_int(workers, "workers", 1), len(units))
+    if workers <= 1:
+        yield from map(fn, units)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        by_size = sorted(range(len(units)), key=lambda i: -n_of(units[i]))
+        futures = {i: pool.submit(fn, units[i]) for i in by_size}
+        for i in range(len(units)):
+            yield futures[i].result()
+
+
+# ----------------------------------------------------------------------
 # Grid runner
 # ----------------------------------------------------------------------
 
@@ -373,33 +400,22 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     """Run every (N, n, m) cell of the grid.
 
     Each (N, n) pair is one task that gives the cells of every m from
-    shared draws. Tasks execute independently (across at most ``workers``
-    processes, never more than there are pairs) and are reduced in
-    deterministic order: a pool gets them largest n first, and ``on_cell``
-    receives each CellResult in ``spec.cells()`` order as it becomes
-    available. Interruption, memory exhaustion or a lost worker process
-    yields a valid spec-order prefix of the cells with ``complete=False``.
+    shared draws. Tasks run through :func:`_run_units` (across at most
+    ``workers`` processes, largest n first) and are reduced in spec order:
+    ``on_cell`` receives each CellResult in ``spec.cells()`` order as it
+    becomes available. Interruption, memory exhaustion or a lost worker
+    process yields a valid spec-order prefix of the cells with
+    ``complete=False``.
     """
     pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
-    workers = min(check_int(workers, "workers", 1), len(pairs))
     results: list[CellResult] = []
     complete = True
-
-    def _consume(iterator):
-        for cells in iterator:
+    try:
+        for cells in _run_units(_grid_pair, pairs, workers, lambda pair: pair[1][1]):
             for result in cells:
                 results.append(result)
                 if on_cell is not None:
                     on_cell(result)
-
-    try:
-        if workers <= 1:
-            _consume(map(_grid_pair, pairs))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                by_size = sorted(pairs, key=lambda pair: -pair[1][1])
-                futures = {pair[1]: pool.submit(_grid_pair, pair) for pair in by_size}
-                _consume(futures[key].result() for _, key in pairs)
     except (KeyboardInterrupt, MemoryError, BrokenProcessPool):
         complete = False
 
@@ -468,6 +484,18 @@ def check_compare(N: float, n_values, m: int, reps: int, level: float):
     return config, n_values, reps
 
 
+# The two phases of each n of a comparison: the null draws that calibrate
+# every test's cutoff, and the alternative draws that measure its power.
+_COMPARE_PHASES = ((H0, ("compare-calibrate",)), (H1, ("compare-evaluate",)))
+
+
+def _compare_phase(unit) -> np.ndarray:
+    """The (4, reps) statistics matrix of one (n, phase) unit of :func:`compare_edf`."""
+    config, n, reps, seed, standardize_first, (hypothesis, tags) = unit
+    return _statistics(_compare_kernel, config, hypothesis, n, reps, seed, tags,
+                       standardize_first)
+
+
 def compare_edf(
     N: float,
     n_values,
@@ -476,25 +504,30 @@ def compare_edf(
     seed: int = 0,
     level: float = 0.05,
     standardize_first: bool = True,
+    workers: int = 1,
 ) -> list[CompareRow]:
     """Calibrated power of the targeted test and the three EDF baselines.
 
     Every test sees the identical pipeline: shared per-replication draws,
     the same standardisation treatment, and its own Monte Carlo cutoff
     calibrated under the null at the given level, so the comparison is
-    fair by construction.
+    fair by construction. Each (n, phase) pair is one unit of
+    :func:`_run_units`, on at most ``workers`` processes; cutoffs and
+    rates are taken in n order, so rows are the same for any worker count.
     """
     config, n_values, reps = check_compare(N, n_values, m, reps, level)
+    config.law.cdf(0.0)  # imports scipy.special where the CDF needs it, before any fork
+    units = [(config, n, reps, seed, standardize_first, phase)
+             for n in n_values for phase in _COMPARE_PHASES]
+    stats = _run_units(_compare_phase, units, workers, lambda unit: unit[1])
     rows: list[CompareRow] = []
-    for n in n_values:
-        null_stats = _statistics(_compare_kernel, config, H0, n, reps, seed,
-                                 ("compare-calibrate",), standardize_first)
-        cutoffs = [empirical_cutoff(stats, level) for stats in null_stats]
-        alt_stats = _statistics(_compare_kernel, config, H1, n, reps, seed,
-                                ("compare-evaluate",), standardize_first)
+    # two units per n, its null then its alternative; the units come first in
+    # zip, so it runs them to their end, and the pool closes there
+    for null_stats, alt_stats, n in zip(stats, stats, n_values):
+        cutoffs = [empirical_cutoff(values, level) for values in null_stats]
         rows += [
-            CompareRow(test_name=name, n=n, calibrated_power=_rate(stats, cutoff))
-            for name, stats, cutoff in zip(COMPARE_TESTS, alt_stats, cutoffs)
+            CompareRow(test_name=name, n=n, calibrated_power=_rate(values, cutoff))
+            for name, values, cutoff in zip(COMPARE_TESTS, alt_stats, cutoffs)
         ]
     return rows
 

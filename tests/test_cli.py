@@ -129,6 +129,9 @@ def test_usage_errors_exit_two():
     result = run_cli("grid", "--N-values", "5", "--n-values", "10", "--m-values", "4",
                      "--calib-reps", "1000", "--eval-reps", "10", "--quiet", "--workers", "0")
     assert result.returncode == 2
+    result = run_cli("compare", "--N", "5", "--n-values", "10", "--reps", "1000", "--workers", "0")
+    assert result.returncode == 2
+    assert result.stdout == "" and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [
@@ -159,8 +162,9 @@ def test_negative_seed_exits_two(command, tmp_path, capsys):
     ["grid", "--calib-reps", "5", "--quiet"],
     ["compare", "--N", "5", "--reps", "5"],
     ["grid", "--workers", "0", "--quiet", "--output", "{out}"],
+    ["compare", "--N", "5", "--workers", "0", "--output", "{out}"],
 ], ids=["calibrate-reps", "calibrate-n", "test-reps", "test-one-value", "sample-n",
-        "grid-reps", "compare-reps", "grid-workers"])
+        "grid-reps", "compare-reps", "grid-workers", "compare-workers"])
 def test_bad_calibration_counts_fail_before_a_seed_is_drawn(command, tmp_path, capsys):
     # with --seed omitted, a seed is drawn and echoed only for a run that
     # starts, and no output is opened for one that does not
@@ -277,6 +281,13 @@ def test_compare_schema():
     assert lines[0] == "test_name,n,calibrated_power"
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["stein", "ks", "cvm", "ad"]
+
+
+def test_compare_at_the_default_worker_count_equals_one_worker():
+    argv = ["compare", "--N", "20", "--n-values", "60,300", "--reps", "1000", "--seed", "6"]
+    pooled, serial = run_cli(*argv), run_cli(*argv, "--workers", "1")
+    assert pooled.returncode == 0 and serial.returncode == 0
+    assert pooled.stdout == serial.stdout
 
 
 def test_grid_reports_progress_per_cell_on_stderr():

@@ -210,6 +210,29 @@ def test_quantile_against_root_finding():
         assert law.quantile(p) == pytest.approx(root, abs=1e-9)
 
 
+def _bisect_quantile(law, p):
+    """The one-point bisection that FiniteNLaw.quantile replicates: one
+    scalar cdf call per step, from [-sqrt(N), 0] down to adjacent floats."""
+    if p > 0.5:
+        return -_bisect_quantile(law, 1.0 - p)
+    lo, hi = -law.support_bound, 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if law.cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("N", [5, 20, 36, _CLOSED_FORM_MAX_N, 20.5])
+def test_quantile_equals_one_point_bisection(N):
+    # both tails and the centre, with the tail-series and closed-form routes
+    law = FiniteNLaw(N)
+    for p in (1e-300, 1e-9, 1e-4, 0.001, 0.02, 0.3, 0.4999999, 0.5 + 1e-12, 0.7, 0.975,
+              0.999, 1.0 - 1e-9):
+        assert law.quantile(p) == _bisect_quantile(law, p), p
+
+
 def test_sample_support_and_moments():
     law = FiniteNLaw(5)
     n = 1_000_000

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -398,6 +399,61 @@ def test_run_grid_keeps_finished_pairs_when_a_worker_dies(monkeypatch):
     assert result.rows == expected.rows
     assert [cell.calibration for cell in seen] == list(expected.calibration)
     assert grid_result_to_csv(result).endswith("# complete=false\n")
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_compare_edf_rows_are_the_same_on_two_processes(standardize):
+    run = functools.partial(compare_edf, 5.0, (40, 130), reps=1_100, seed=9,
+                            standardize_first=standardize)
+    assert run(workers=2) == run(workers=1)
+
+
+def test_compare_edf_clamps_pool_to_unit_count(monkeypatch):
+    pool_sizes = []
+
+    class InProcessPool(_InlinePool):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    rows = compare_edf(5.0, (30, 60), reps=1_000, seed=2, workers=64)
+    assert pool_sizes == [4]  # two (n, phase) units per n
+    assert rows == compare_edf(5.0, (30, 60), reps=1_000, seed=2, workers=1)
+
+
+def test_compare_edf_hands_the_pool_largest_n_first_and_reports_in_n_order(monkeypatch):
+    submitted = []
+
+    class RecordingPool(_InlinePool):
+        def submit(self, fn, item):
+            submitted.append((item[1], item[-1][0]))
+            return super().submit(fn, item)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    rows = compare_edf(5.0, (30, 90, 60), reps=1_000, seed=4, workers=2)
+    assert submitted == [(90, H0), (90, H1), (60, H0), (60, H1), (30, H0), (30, H1)]
+    assert [row.n for row in rows] == [30] * 4 + [90] * 4 + [60] * 4
+    assert rows == compare_edf(5.0, (30, 90, 60), reps=1_000, seed=4, workers=1)
+
+
+def test_compare_edf_raises_when_a_worker_dies(monkeypatch):
+    # unlike a grid, a comparison has no partial result: a lost worker
+    # after the first unit still gives no rows
+    class DyingPool(_InlinePool):
+        def __init__(self, max_workers):
+            self.submitted = 0
+
+        def submit(self, fn, item):
+            self.submitted += 1
+            if self.submitted == 1:
+                return super().submit(fn, item)
+            future = Future()
+            future.set_exception(BrokenProcessPool("a worker process terminated abruptly"))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", DyingPool)
+    with pytest.raises(BrokenProcessPool):
+        compare_edf(5.0, (30, 60), reps=1_000, seed=2, workers=2)
 
 
 def test_sanov_table_reproduces_reference_values():
