@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_finite, check_int, check_N
+from .workspace import Workspace
 
 __all__ = ["FiniteNLaw"]
 
@@ -58,6 +59,8 @@ _TAIL = 1e-3
 # sum. The terms fall by a ratio of at most about 0.84 (N = 400 at
 # F = 1e-3), so the neglected rest is then below 2^-57 of the sum.
 _SERIES_STOP = 2.0**-60
+# Terms of the tail series added between two convergence checks.
+_SERIES_CHECK = 8
 
 # Bisection steps of the quantile per CDF call, which takes the 15
 # midpoints they might visit. The closed-form CDF costs per call (a
@@ -175,9 +178,17 @@ class FiniteNLaw:
         precision and both tails are monotone. Other N use the incomplete
         Beta function throughout. cdf(0) is exactly 0.5 either way.
         """
-        arr = check_finite(x, "evaluation points")
+        out = self._cdf(check_finite(x, "evaluation points"), Workspace())
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(out)
+        return out
+
+    def _cdf(self, arr: np.ndarray, work) -> np.ndarray:
+        """:meth:`cdf` of a finite float array, with no checks. The closed
+        form writes into buffers 0 to 2 of ``work``, a :class:`Workspace`,
+        and returns buffer 0."""
         if self.N.is_integer() and self.N <= _CLOSED_FORM_MAX_N:
-            out = self._closed_form_cdf(arr.reshape(-1)).reshape(arr.shape)
+            out = self._closed_form_cdf(arr, work)
             lower = out < _TAIL
             upper = out > 1.0 - _TAIL
             if lower.any() or upper.any():
@@ -188,12 +199,9 @@ class FiniteNLaw:
                 split = np.count_nonzero(lower)
                 out[lower] = tails[:split]
                 out[upper] = 1.0 - tails[split:]
-        else:
-            # Pin the centre exactly; betainc is symmetric only to rounding.
-            out = np.where(arr == 0.0, 0.5, self._betainc_cdf(arr))
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
+            return out
+        # Pin the centre exactly; betainc is symmetric only to rounding.
+        return np.where(arr == 0.0, 0.5, self._betainc_cdf(arr))
 
     def _betainc_cdf(self, arr: np.ndarray) -> np.ndarray:
         from scipy.special import betainc
@@ -220,17 +228,23 @@ class FiniteNLaw:
             prefactor = np.exp(self.log_norm + a * (np.log1p(-s) + np.log1p(s)))
         term = np.ones_like(s)
         total = term.copy()
+        ratio = np.empty_like(s)
         k = 0
+        # Convergence is checked every _SERIES_CHECK terms. That changes no
+        # bit: every term ratio is below 1 (z <= 1/2), so once a point's
+        # term is below _SERIES_STOP of its sum, each later one rounds away.
         while np.any(term > _SERIES_STOP * total):
-            term *= (2.0 * a + k) / (a + 1.0 + k) * z
-            total += term
-            k += 1
+            for _ in range(_SERIES_CHECK):
+                term *= np.multiply(z, (2.0 * a + k) / (a + 1.0 + k), out=ratio)
+                total += term
+                k += 1
         total *= prefactor
         total *= self.support_bound / (2.0 * a)
         return total
 
-    def _closed_form_cdf(self, arr: np.ndarray) -> np.ndarray:
-        """CDF of a 1-D array for integer N, in three buffers of its size.
+    def _closed_form_cdf(self, arr: np.ndarray, work) -> np.ndarray:
+        """CDF of an array for integer N, in buffers 0 (the result), 1 and 2
+        of ``work``, a :class:`Workspace`.
 
         With s = sin(theta) = x/sqrt(N) clipped to [-1, 1] and
         c = cos^2(theta) = (1 - s)(1 + s), and P(c) = sum_j r_j c^j for
@@ -248,10 +262,10 @@ class FiniteNLaw:
         coefficients = [1.0]
         for j in range(1, (N - 3) // 2 + 1):
             coefficients.append(coefficients[-1] * (2 * j - odd) / (2 * j + 1 - odd))
-        s = np.divide(arr, self.support_bound)
+        s = np.divide(arr, self.support_bound, out=work(1, arr.shape))
         np.clip(s, -1.0, 1.0, out=s)
-        c = np.subtract(1.0, s)
-        f = np.add(1.0, s)
+        c = np.subtract(1.0, s, out=work(2, arr.shape))
+        f = np.add(1.0, s, out=work(0, arr.shape))
         c *= f
         f.fill(coefficients[-1])
         for r in reversed(coefficients[:-1]):
@@ -311,14 +325,20 @@ class FiniteNLaw:
         ``sample(k')`` for k < k'. Deterministic given the seed (an int,
         SeedSequence, or Generator).
         """
-        n = check_int(n, "sample size", 1)
-        rng = np.random.default_rng(seed)
+        out = np.empty(check_int(n, "sample size", 1))
+        self._sample_into(out, np.random.default_rng(seed), Workspace())
+        return out
+
+    def _sample_into(self, out: np.ndarray, rng: np.random.Generator, work) -> None:
+        """Fill the 1-D array ``out`` as :meth:`sample` does, from ``rng``.
+
+        Pairs are drawn into buffer 0 of ``work``, a :class:`Workspace`, a
+        chunk at a time; the stream is consumed in order, so chunking does
+        not change the draws.
+        """
         power = 2.0 / (self.N - 2.0)
-        out = np.empty(n)
-        # Pairs are drawn into one small scratch, a chunk at a time; the
-        # stream is consumed in order, so chunking does not change the draws.
-        scratch = np.empty((min(n, _SAMPLE_CHUNK), 2))
-        for start in range(0, n, _SAMPLE_CHUNK):
+        scratch = work(0, (min(out.size, _SAMPLE_CHUNK), 2))
+        for start in range(0, out.size, _SAMPLE_CHUNK):
             x = out[start:start + _SAMPLE_CHUNK]
             pairs = rng.random(out=scratch[:x.size])
             # 1 - U^(2/(N-2)) as -expm1(log(U) 2/(N-2)), which keeps its
@@ -333,7 +353,6 @@ class FiniteNLaw:
             angle *= 2.0 * math.pi
             x *= np.cos(angle, out=angle)
             x *= self.support_bound
-        return out
 
     def sample_gaussian_alternative(self, n: int, seed) -> np.ndarray:
         """Draw n i.i.d. standard normal values (the infinite-N alternative).
@@ -342,8 +361,15 @@ class FiniteNLaw:
         shared rescaling y = x / sqrt(N) applies uniformly; values may
         exceed sqrt(N).
         """
-        n = check_int(n, "sample size", 1)
-        return np.random.default_rng(seed).standard_normal(n)
+        out = np.empty(check_int(n, "sample size", 1))
+        self._gaussian_into(out, np.random.default_rng(seed))
+        return out
+
+    @staticmethod
+    def _gaussian_into(out: np.ndarray, rng: np.random.Generator, work=None) -> None:
+        """Fill ``out`` as :meth:`sample_gaussian_alternative` does, from
+        ``rng``; ``work`` is unused, for the signature of :meth:`_sample_into`."""
+        rng.standard_normal(out=out)
 
     def kl_to_gaussian(self) -> float:
         """Exact Kullback-Leibler divergence to the standard normal.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, check_finite
+from .workspace import Workspace
 
 __all__ = ["batch_edf_statistics"]
 
@@ -26,23 +27,31 @@ def batch_edf_statistics(samples, law) -> tuple[np.ndarray, np.ndarray, np.ndarr
     x = check_finite(samples, "sample values")
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("batch_edf_statistics expects a (reps, n) matrix")
+    return _edf_statistics(x, law, Workspace())
+
+
+def _edf_statistics(x: np.ndarray, law, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`batch_edf_statistics` of a checked (reps, n) matrix, with no
+    checks; its scratch is buffers 0 to 3 of ``work``, a :class:`Workspace`."""
     n = x.shape[1]
-    # The sorted copy becomes the one work buffer once u is formed; every
-    # step below writes into it or into u, so no other (reps, n) array is made.
-    work = np.sort(x, axis=-1)
-    u = law.cdf(work)
+    # The sorted copy becomes the one work buffer once u (the CDF's buffer 0)
+    # is formed; every step below writes into it or into u.
+    buf = work(3, x.shape)
+    np.copyto(buf, x)
+    buf.sort(axis=-1)
+    u = law._cdf(buf, work)
     i = np.arange(1, n + 1, dtype=float)
 
-    ks = np.subtract(i / n, u, out=work).max(axis=-1)
-    np.maximum(ks, np.subtract(u, (i - 1.0) / n, out=work).max(axis=-1), out=ks)
+    ks = np.subtract(i / n, u, out=buf).max(axis=-1)
+    np.maximum(ks, np.subtract(u, (i - 1.0) / n, out=buf).max(axis=-1), out=ks)
 
-    np.subtract(u, (2.0 * i - 1.0) / (2.0 * n), out=work)
-    cvm = 1.0 / (12.0 * n) + np.square(work, out=work).sum(axis=-1)
+    np.subtract(u, (2.0 * i - 1.0) / (2.0 * n), out=buf)
+    cvm = 1.0 / (12.0 * n) + np.square(buf, out=buf).sum(axis=-1)
 
     np.clip(u, _LOG_CLAMP, 1.0 - _LOG_CLAMP, out=u)
-    np.log(u, out=work)
+    np.log(u, out=buf)
     np.log(np.subtract(1.0, u, out=u), out=u)
-    work += u[..., ::-1]
-    work *= 2.0 * i - 1.0
-    ad = -n - work.sum(axis=-1) / n
+    buf += u[..., ::-1]
+    buf *= 2.0 * i - 1.0
+    ad = -n - buf.sum(axis=-1) / n
     return ks, cvm, ad

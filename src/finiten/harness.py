@@ -22,7 +22,10 @@ comparison's an (n, phase) pair; a pool of at most ``workers`` processes,
 never more than there are units, runs the largest n first, and results
 are taken in unit order, so they are bit-identical for any worker count.
 Only one tile of draws is held at a time, so peak memory no longer scales
-with 512 n and large grids never materialise full sample matrices.
+with 512 n and large grids never materialise full sample matrices. A
+phase draws every tile into one array and gives its kernels one
+:class:`Workspace` of scratch buffers, so it faults in its pages once, not
+once per tile: a tile that ``_blocks`` yields is valid only until the next.
 """
 
 from __future__ import annotations
@@ -30,20 +33,19 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .distribution import FiniteNLaw
-from .edf import batch_edf_statistics
+from .edf import _edf_statistics
 from .errors import (
     ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_seed,
 )
 from .stein_test import (
-    SteinTestConfig, _check_standardizable, batch_statistic, running_statistics, standardize,
+    SteinTestConfig, _check_standardizable, _running_statistics, _standardize,
 )
+from .workspace import Workspace
 
 __all__ = [
     "H0",
@@ -233,33 +235,44 @@ def _normalize_hypothesis(hypothesis: str) -> str:
     return name
 
 
-def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first):
+def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work=None):
     """Yield the draws of replications 0..reps-1 of one phase, one tile at a time.
 
     The one place that keys a stream, from (seed, tags, config.N, n), and
     decides whether draws are standardised. Block b is drawn from block b
     of that stream by consecutive calls, each of max(1, TILE // n) whole
     rows, so replication r is row r - b * BLOCK of the block's tiles joined
-    in order. No name holds the raw draws, so none outlive their
-    standardised copy.
+    in order. Every tile is drawn, and standardised in place, into one
+    array that this generator owns, with buffer 0 of ``work`` (a
+    :class:`Workspace`) as scratch: a yielded tile is valid only until the
+    next one is asked for.
     """
+    work = Workspace() if work is None else work
     streams = ReplicationStreams(seed, *tags, config.N, n)
-    draw = config.law.sample if hypothesis == H0 else config.law.sample_gaussian_alternative
-    prepare = standardize if standardize_first else np.asarray
+    draw = config.law._sample_into if hypothesis == H0 else config.law._gaussian_into
     rows = max(1, TILE // n)
+    tile = np.empty(min(rows, BLOCK, reps) * n)
     for block, start in enumerate(range(0, reps, BLOCK)):
         rng = streams.rng(block)
         end = min(start + BLOCK, reps)
         for first in range(start, end, rows):
             count = min(rows, end - first)
-            yield prepare(draw(n * count, rng).reshape(count, n))
+            draw(tile[:count * n], rng, work)
+            x = tile[:count * n].reshape(count, n)
+            if standardize_first:
+                _standardize(x, work(0, x.shape))
+            yield x
 
 
 def _statistics(kernel, config, hypothesis, n, reps, seed, tags, standardize_first=False):
-    """The one Monte Carlo draw loop: ``kernel(x, config)`` of every tile x of
-    draws, joined along the last axis, so column r belongs to replication r."""
-    tiles = _blocks(config, hypothesis, n, reps, seed, tags, standardize_first)
-    return np.concatenate([kernel(x, config) for x in tiles], axis=-1)
+    """The one Monte Carlo draw loop: ``kernel(x, config, work)`` of every
+    tile x of draws, joined along the last axis, so column r belongs to
+    replication r. ``work`` is the phase's one :class:`Workspace`: the
+    sampler, the standardiser and the kernel write into its buffers on
+    every tile, so the phase faults in its scratch once."""
+    work = Workspace()
+    tiles = _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work)
+    return np.concatenate([kernel(x, config, work) for x in tiles], axis=-1)
 
 
 def _rate(stats, cutoff) -> float:
@@ -301,7 +314,7 @@ def calibrate(
     raises ConfigError, as in :func:`run_test`.
     """
     n, reps = check_calibration(n, config, reps, standardize_first)
-    stats = _statistics(running_statistics, config, H0, n, reps, seed, ("calibrate",),
+    stats = _statistics(_running_statistics, config, H0, n, reps, seed, ("calibrate",),
                         standardize_first)
     return empirical_cutoff(stats[-1], config.level)
 
@@ -333,7 +346,7 @@ def estimate_rejection(
         raise ConfigError(f"cutoff_source must be theoretical or calibrated, got {cutoff_source!r}")
     cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
-    stats = _statistics(running_statistics, config, hypothesis, n, reps, seed,
+    stats = _statistics(_running_statistics, config, hypothesis, n, reps, seed,
                         ("evaluate", hypothesis))
     return _power_row(config, n, hypothesis, stats[-1], seed, cutoff_source, cutoff)
 
@@ -356,6 +369,8 @@ def _run_units(fn, units, workers, n_of):
     if workers <= 1:
         yield from map(fn, units)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         by_size = sorted(range(len(units)), key=lambda i: -n_of(units[i]))
         futures = {i: pool.submit(fn, units[i]) for i in by_size}
@@ -379,9 +394,9 @@ def _grid_pair(args) -> list[CellResult]:
     seed = spec.master_seed
     configs = [SteinTestConfig(N=N, m=m, level=spec.level) for m in spec.m_values]
     widest = max(configs, key=lambda config: config.m)
-    calibration = _statistics(running_statistics, widest, H0, n, spec.calib_reps, seed,
+    calibration = _statistics(_running_statistics, widest, H0, n, spec.calib_reps, seed,
                               ("calibrate",))
-    evaluation = {h: _statistics(running_statistics, widest, h, n, spec.eval_reps, seed,
+    evaluation = {h: _statistics(_running_statistics, widest, h, n, spec.eval_reps, seed,
                                  ("evaluate", h)) for h in (H0, H1)}
     cells = []
     for config in configs:
@@ -407,6 +422,8 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     process yields a valid spec-order prefix of the cells with
     ``complete=False``.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
     results: list[CellResult] = []
     complete = True
@@ -467,10 +484,12 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
 # EDF comparison
 # ----------------------------------------------------------------------
 
-def _compare_kernel(x, config) -> np.ndarray:
+def _compare_kernel(x, config, work) -> np.ndarray:
     """T and the KS, CvM and AD statistics of every row of x, as a
-    (4, reps) matrix in ``COMPARE_TESTS`` order."""
-    return np.vstack([batch_statistic(x, config), *batch_edf_statistics(x, config.law)])
+    (4, reps) matrix in ``COMPARE_TESTS`` order, with ``work`` (a
+    :class:`Workspace`) as scratch."""
+    stein = _running_statistics(x, config, work)[-1]
+    return np.vstack([stein, *_edf_statistics(x, config.law, work)])
 
 
 def check_compare(N: float, n_values, m: int, reps: int, level: float):

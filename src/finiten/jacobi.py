@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray):
+def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers=None):
     """Yield P_0 .. P_{k_max} of P^(alpha,beta) at z = w - 1, in float64.
 
     The recurrence DLMF 18.9.2 in w, with A = alpha + beta and s = 2k + A:
@@ -48,25 +48,36 @@ def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray):
     with c1 = (s+1)(s+2)s, c2 = 2(k+alpha)(k+beta)(s+2) and the closed form
     d = (s+1)(4k^2 + 4k(A+1) + 2A(1+beta)), each over 2(k+1)(k+A+1)s. In z,
     the constant is c1 less a term of the same size alpha, which loses
-    log10(alpha) digits where w ~ 1/N. For alpha > 0 and A > -1/2. Each
-    row is a new array that later steps never overwrite.
+    log10(alpha) digits where w ~ 1/N. For alpha > 0 and A > -1/2.
+
+    P_0 is yielded as the scalar 1.0, so step 1's c2 P_0 is the scalar c2.
+    Rows 1 .. k_max are written into three arrays shaped like w, taken in
+    turn: ``buffers``, or new ones. Each step scales the row before last by
+    c2 in place, so a yielded row is valid only until the next one is
+    yielded; read it before asking for the next.
     """
     A = alpha + beta
-    prev = np.ones_like(w)
-    yield prev
+    yield 1.0
     if k_max < 1:
         return
-    cur = (0.5 * (A + 2.0)) * w - (beta + 1.0)
+    if buffers is None:
+        buffers = [np.empty_like(w) for _ in range(3)]
+    cur, row, spare = buffers
+    np.multiply(w, 0.5 * (A + 2.0), out=cur)
+    cur -= beta + 1.0
     yield cur
-    term = np.empty_like(cur)  # reused for c2 P_{k-1}
+    prev = 1.0
     for k in range(1, k_max):
         s = 2.0 * k + A
         den = 2.0 * (k + 1) * (k + A + 1.0) * s
-        row = np.multiply(w, (s + 1.0) * (s + 2.0) * s / den)
+        np.multiply(w, (s + 1.0) * (s + 2.0) * s / den, out=row)
         row -= (s + 1.0) * (4.0 * k * k + 4.0 * k * (A + 1.0) + 2.0 * A * (1.0 + beta)) / den
         row *= cur
-        row -= np.multiply(prev, 2.0 * (k + alpha) * (k + beta) * (s + 2.0) / den, out=term)
-        prev, cur = cur, row
+        prev *= 2.0 * (k + alpha) * (k + beta) * (s + 2.0) / den
+        row -= prev
+        # the next row goes where P_{k-1} was; after step 1, whose P_0 is
+        # the scalar, into the third buffer
+        prev, cur, row = cur, row, spare if k == 1 else prev
         yield cur
 
 

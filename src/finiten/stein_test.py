@@ -38,6 +38,7 @@ from .errors import (
     check_level,
 )
 from .jacobi import JacobiBasis, jacobi_rows
+from .workspace import Workspace
 
 __all__ = [
     "even_modes",
@@ -202,11 +203,19 @@ def standardize(values) -> np.ndarray:
     x = check_finite(values, "sample values")
     if x.ndim not in (1, 2) or x.shape[-1] < 2:
         raise DomainError("standardize requires an (n,) or (reps, n) sample with n >= 2")
-    centred = x - x.mean(axis=-1, keepdims=True)
-    scale = np.sqrt((centred * centred).mean(axis=-1, keepdims=True))
+    out = np.array(x)
+    _standardize(out, np.empty_like(out))
+    return out
+
+
+def _standardize(x: np.ndarray, square: np.ndarray) -> None:
+    """Standardise the rows of x in place: the kernel of :func:`standardize`,
+    with ``square``, an array of x's shape, as scratch for the squares."""
+    x -= x.mean(axis=-1, keepdims=True)
+    scale = np.sqrt(np.multiply(x, x, out=square).mean(axis=-1, keepdims=True))
     if np.any(scale == 0.0):
         raise DegenerateSampleError("sample is constant; no scale information")
-    return centred / scale
+    x /= scale
 
 
 def _check_standardizable(config: SteinTestConfig) -> None:
@@ -216,20 +225,24 @@ def _check_standardizable(config: SteinTestConfig) -> None:
                           f"skip standardisation, got {config.modes}")
 
 
-def _mode_coefficients(x: np.ndarray, config: SteinTestConfig) -> np.ndarray:
+def _mode_coefficients(x: np.ndarray, config: SteinTestConfig, work=None) -> np.ndarray:
     """mu_k of every row of a (reps, n) matrix, as a (dof, reps) matrix in
     mode order: the one kernel behind every coefficient and statistic, with
     one float64 pass of the recurrence per parity (beta = -1/2 for even
-    modes; +1/2, times y, for odd). Sums are weighted after reduction."""
-    w = np.multiply(x, x)
+    modes; +1/2, times y, for odd). Sums are weighted after reduction. Its
+    scratch is buffers 0 to 4 of ``work``, a :class:`Workspace` (a new one
+    by default)."""
+    work = Workspace() if work is None else work
+    w = np.multiply(x, x, out=work(0, x.shape))
     w *= 2.0 / config.N
+    rows = [work(i, x.shape) for i in (1, 2, 3)]
     mu = np.empty((config.dof, x.shape[0]))
     for odd in {k % 2 for k in config.modes}:
         row_of = {k // 2: i for i, k in enumerate(config.modes) if k % 2 == odd}
         root = math.sqrt(x.shape[1] * config.N**odd)  # odd terms carry y = x / sqrt(N)
-        for j, p in enumerate(jacobi_rows(config.basis.alpha, odd - 0.5, max(row_of), w)):
+        for j, p in enumerate(jacobi_rows(config.basis.alpha, odd - 0.5, max(row_of), w, rows)):
             if j in row_of:
-                total = (x * p if odd else p).sum(axis=-1)
+                total = (np.multiply(x, p, out=work(4, x.shape)) if odd else p).sum(axis=-1)
                 mu[row_of[j]] = config.basis.weights[2 * j + odd - 1] * total / root
     return mu
 
@@ -251,19 +264,26 @@ def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     return dict(zip(config.modes, _mode_coefficients(x[None, :], config)[:, 0].tolist()))
 
 
-def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
+def running_statistics(samples: np.ndarray, config: SteinTestConfig, work=None) -> np.ndarray:
     """Partial sums of T along the mode set, for every row of a (reps, n) matrix.
 
     Row i of the (len(config.modes), reps) result sums mu_k^2 over
     ``config.modes[:i + 1]``, added in mode order. The last row is
     :func:`batch_statistic`; for the default even modes, row i equals, bit
     for bit, T of the config whose m is ``config.modes[i]``. So one pass of
-    the recurrence up to the largest m gives T for every smaller m.
+    the recurrence up to the largest m gives T for every smaller m. A
+    caller that computes many batches may pass one :class:`Workspace` as
+    ``work`` to every call, so that the recurrence reuses its buffers.
     """
     x = check_finite(samples, "sample values")
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("samples must be a (reps, n) matrix with n >= 1")
-    return _running(_mode_coefficients(x, config))
+    return _running_statistics(x, config, work)
+
+
+def _running_statistics(x: np.ndarray, config: SteinTestConfig, work=None) -> np.ndarray:
+    """:func:`running_statistics` of a checked (reps, n) matrix, with no checks."""
+    return _running(_mode_coefficients(x, config, work))
 
 
 def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:

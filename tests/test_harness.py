@@ -1,6 +1,10 @@
+import concurrent.futures
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -35,7 +39,11 @@ from finiten.harness import (
     run_grid,
     sanov_table,
 )
-from finiten.stein_test import SteinTestConfig, running_statistics
+from finiten.edf import batch_edf_statistics
+from finiten.stein_test import (
+    SteinTestConfig, _running_statistics, batch_statistic, running_statistics, standardize,
+)
+from finiten.workspace import Workspace
 
 # Reference values for the closed-form large-deviation table.
 SANOV_N_VALUES = (4, 5, 6, 8, 10, 15, 20)
@@ -152,6 +160,78 @@ def test_tiling_changes_no_statistic(monkeypatch, kernel, standardize):
         assert max(rows) == min(max(1, tile // n), harness.BLOCK) and sum(rows) == reps
         for h in (H0, H1):
             assert np.array_equal(statistics(h), expected[h]), (tile, h)
+
+
+@pytest.mark.parametrize("tile", ["default", "below-one-row"])
+@pytest.mark.parametrize("hypothesis, standardize_first", [(H0, False), (H0, True), (H1, True)])
+def test_workspace_path_matches_the_public_functions(monkeypatch, tile, hypothesis,
+                                                     standardize_first):
+    # 600 replications of n = 300: default tiles of 218, 218 and 76 rows, then
+    # 88, so a tile grows back inside buffers a shorter one used last; mode 3
+    # runs the odd pass and its product buffer
+    config, n, reps, seed, tags = SteinTestConfig(N=20.0, m=6, modes=(3, 4, 6)), 300, 600, 5, ("ws",)
+    if tile != "default":
+        monkeypatch.setattr(harness, "TILE", n // 2)
+    rows = max(1, harness.TILE // n)
+    streams = ReplicationStreams(seed, *tags, config.N, n)
+    draw = config.law.sample if hypothesis == H0 else config.law.sample_gaussian_alternative
+
+    def public_tiles():
+        for block, start in enumerate(range(0, reps, harness.BLOCK)):
+            rng = streams.rng(block)
+            end = min(start + harness.BLOCK, reps)
+            for first in range(start, end, rows):
+                x = draw(min(rows, end - first) * n, rng).reshape(-1, n)
+                yield standardize(x) if standardize_first else x
+
+    work = Workspace()
+    tiles = harness._blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work)
+    count = 0
+    for x, want in zip(tiles, public_tiles(), strict=True):
+        assert np.array_equal(x, want)
+        assert np.array_equal(_running_statistics(x, config, work), running_statistics(want, config))
+        edf = batch_edf_statistics(want, config.law)
+        assert np.array_equal(harness._compare_kernel(x, config, work),
+                              np.vstack([batch_statistic(want, config), *edf]))
+        assert np.array_equal(x, want)  # the kernels left the tile alone
+        count += x.shape[0]
+    assert count == reps
+
+
+_PHASE_FAULTS = """
+import resource, sys
+from finiten import harness
+from finiten.stein_test import SteinTestConfig, running_statistics
+
+kernel, hypothesis, standardize = {
+    "desk": (running_statistics, "h0", False),
+    "compare": (harness._compare_kernel, "h1", True),
+}[sys.argv[1]]
+config = SteinTestConfig(N=20.0, m=4)
+
+def faults(blocks):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness._statistics(kernel, config, hypothesis, 500, blocks * harness.BLOCK, 1, ("faults",),
+                        standardize)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(4)  # the first use of every code path
+print(faults(4), faults(40))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+@pytest.mark.parametrize("phase", ["desk", "compare"])
+def test_phase_page_faults_do_not_grow_with_its_tiles(phase):
+    # n = 500 takes 4 tiles per block, so 40 blocks have 144 tiles more than
+    # 4 blocks; a kernel that makes new tile-sized arrays faults their pages
+    # in again on every tile (about 550 faults per tile), while reused
+    # buffers fault once a phase. The results themselves grow with the reps.
+    result = subprocess.run([sys.executable, "-c", _PHASE_FAULTS, phase], capture_output=True,
+                            text=True, timeout=120, env=os.environ)
+    assert result.returncode == 0, result.stderr
+    few, many = map(int, result.stdout.split())
+    assert many - few < 20 * (40 - 4) * 4, (few, many)
 
 
 def test_monte_carlo_peak_memory_does_not_scale_with_the_block():
@@ -341,7 +421,7 @@ def test_run_grid_hands_the_pool_largest_n_first_and_reports_in_spec_order(monke
             submitted.append(item[1])
             return super().submit(fn, item)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = GridSpec(N_values=(5.0, 10.0), n_values=(10, 500, 50), m_values=(4, 6),
                     calib_reps=1_000, eval_reps=100, master_seed=8)
     seen = []
@@ -359,7 +439,7 @@ def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     spec = replace(_tiny_spec(), m_values=(4, 6))  # 2 (N, n) pairs, 4 cells
     result = run_grid(spec, workers=64)
     assert pool_sizes == [2]
@@ -388,7 +468,7 @@ def test_run_grid_keeps_finished_pairs_when_a_worker_dies(monkeypatch):
 
             return Doomed()
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
     spec = replace(_tiny_spec(), m_values=(4, 6))  # 2 (N, n) pairs, 4 cells
     seen = []
     result = run_grid(spec, workers=2, on_cell=seen.append)
@@ -415,7 +495,7 @@ def test_compare_edf_clamps_pool_to_unit_count(monkeypatch):
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     rows = compare_edf(5.0, (30, 60), reps=1_000, seed=2, workers=64)
     assert pool_sizes == [4]  # two (n, phase) units per n
     assert rows == compare_edf(5.0, (30, 60), reps=1_000, seed=2, workers=1)
@@ -429,7 +509,7 @@ def test_compare_edf_hands_the_pool_largest_n_first_and_reports_in_n_order(monke
             submitted.append((item[1], item[-1][0]))
             return super().submit(fn, item)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     rows = compare_edf(5.0, (30, 90, 60), reps=1_000, seed=4, workers=2)
     assert submitted == [(90, H0), (90, H1), (60, H0), (60, H1), (30, H0), (30, H1)]
     assert [row.n for row in rows] == [30] * 4 + [90] * 4 + [60] * 4
@@ -451,7 +531,7 @@ def test_compare_edf_raises_when_a_worker_dies(monkeypatch):
             future.set_exception(BrokenProcessPool("a worker process terminated abruptly"))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
     with pytest.raises(BrokenProcessPool):
         compare_edf(5.0, (30, 60), reps=1_000, seed=2, workers=2)
 

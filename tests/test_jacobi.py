@@ -6,7 +6,7 @@ from scipy import integrate, special
 
 from finiten import FiniteNLaw, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
-from finiten.jacobi import JacobiBasis
+from finiten.jacobi import JacobiBasis, jacobi_rows
 from operator_reference import (
     jacobi_deriv,
     jacobi_eval_all,
@@ -86,6 +86,46 @@ def test_parity():
     for k in range(10):
         sign = (-1.0) ** k
         assert np.allclose(values_neg[k], sign * values_pos[k], atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [3.5, 4.001, 5.0, 20.0, 1e4, 1e8])
+def test_jacobi_rows_match_the_symmetric_recurrence(N):
+    # P_k^(a,a)(y) = c_k y^(k%2) P_{k//2}^(a, k%2 - 1/2)(2y^2 - 1) (Szego
+    # 4.1.5): divided by its value at y = 1 (w = 2), each row of the
+    # recurrence in w is the long-double symmetric row divided by its own
+    a = (N - 3.0) / 2.0
+    y = np.linspace(-4.0, 4.0, 81) / math.sqrt(N)  # where draws of the law lie
+    ref = jacobi_eval_all(a, 30, np.append(y, 1.0))
+    ref = (ref[:, :-1] / ref[:, -1:]).astype(float)
+    for odd in (0, 1):
+        at_one = [float(np.asarray(row).item())
+                  for row in jacobi_rows(a, odd - 0.5, 15 - odd, np.array([2.0]))]
+        w = 2.0 * y * y
+        buffers = [np.empty_like(w) for _ in range(3)]
+        for j, row in enumerate(jacobi_rows(a, odd - 0.5, 15 - odd, w, buffers)):
+            if j == 0:
+                assert row == 1.0 and isinstance(row, float)  # P_0 is the scalar
+            else:
+                assert any(row is buffer for buffer in buffers)
+            want = ref[2 * j + odd]
+            got = y**odd * row / at_one[j]
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), (odd, j)
+
+
+def test_jacobi_rows_reuse_three_buffers_without_changing_a_row():
+    # rows written into given buffers are the bits of rows in new arrays,
+    # and a tile shorter than the buffers' last use still reads right
+    rng = np.random.default_rng(3)
+    for beta in (-0.5, 0.5):
+        buffers = [np.full(200, np.nan) for _ in range(3)]
+        for size in (200, 57):
+            w = 2.0 * rng.random(size) / 20.0
+            fresh = [np.array(row, copy=True) for row in jacobi_rows(8.5, beta, 12, w)]
+            views = [buffer[:size] for buffer in buffers]
+            reused = [np.array(row, copy=True) for row in jacobi_rows(8.5, beta, 12, w, views)]
+            assert len(reused) == 13
+            for a, b in zip(fresh, reused):
+                assert np.array_equal(a, b)
 
 
 def test_eval_domain_errors():
