@@ -22,10 +22,11 @@ comparison's an (n, phase) pair; a pool of at most ``workers`` processes,
 never more than there are units, runs the largest n first, and results
 are taken in unit order, so they are bit-identical for any worker count.
 Only one tile of draws is held at a time, so peak memory no longer scales
-with 512 n and large grids never materialise full sample matrices. A
-phase draws every tile into one array and gives its kernels one
-:class:`Workspace` of scratch buffers, so it faults in its pages once, not
-once per tile: a tile that ``_blocks`` yields is valid only until the next.
+with 512 n and large grids never materialise full sample matrices. Each
+unit of work (an (N, n) or (n, phase) pair, a :func:`calibrate` or
+:func:`estimate_rejection` call) gives every phase it runs one
+:class:`Workspace` of scratch buffers, so it faults in its pages once: a
+tile that ``_blocks`` yields is valid only until the next.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _normalize_hypothesis(hypothesis: str) -> str:
     return name
 
 
-def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work=None):
+def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work):
     """Yield the draws of replications 0..reps-1 of one phase, one tile at a time.
 
     The one place that keys a stream, from (seed, tags, config.N, n), and
@@ -247,7 +248,6 @@ def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work=Non
     :class:`Workspace`) as scratch: a yielded tile is valid only until the
     next one is asked for.
     """
-    work = Workspace() if work is None else work
     streams = ReplicationStreams(seed, *tags, config.N, n)
     draw = config.law._sample_into if hypothesis == H0 else config.law._gaussian_into
     rows = max(1, TILE // n)
@@ -264,13 +264,12 @@ def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work=Non
             yield x
 
 
-def _statistics(kernel, config, hypothesis, n, reps, seed, tags, standardize_first=False):
+def _statistics(kernel, config, hypothesis, n, reps, seed, tags, standardize_first, work):
     """The one Monte Carlo draw loop: ``kernel(x, config, work)`` of every
     tile x of draws, joined along the last axis, so column r belongs to
-    replication r. ``work`` is the phase's one :class:`Workspace`: the
-    sampler, the standardiser and the kernel write into its buffers on
-    every tile, so the phase faults in its scratch once."""
-    work = Workspace()
+    replication r. ``work`` is the :class:`Workspace` of the unit of work
+    that runs the phase: the sampler, the standardiser and the kernel write
+    into its buffers on every tile."""
     tiles = _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work)
     return np.concatenate([kernel(x, config, work) for x in tiles], axis=-1)
 
@@ -315,7 +314,7 @@ def calibrate(
     """
     n, reps = check_calibration(n, config, reps, standardize_first)
     stats = _statistics(_running_statistics, config, H0, n, reps, seed, ("calibrate",),
-                        standardize_first)
+                        standardize_first, Workspace())
     return empirical_cutoff(stats[-1], config.level)
 
 
@@ -347,7 +346,7 @@ def estimate_rejection(
     cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
     stats = _statistics(_running_statistics, config, hypothesis, n, reps, seed,
-                        ("evaluate", hypothesis))
+                        ("evaluate", hypothesis), False, Workspace())
     return _power_row(config, n, hypothesis, stats[-1], seed, cutoff_source, cutoff)
 
 
@@ -387,17 +386,17 @@ def _grid_pair(args) -> list[CellResult]:
 
     Each phase is drawn once and the recurrence runs once, up to the
     largest m; the T of each m is a row of the running statistics. So
-    every cell equals direct :func:`calibrate` and
-    :func:`estimate_rejection` calls with that m's config.
+    every cell equals direct :func:`calibrate` and :func:`estimate_rejection`
+    calls with that m's config. Its three phases share one workspace.
     """
     spec, (N, n) = args
-    seed = spec.master_seed
+    seed, work = spec.master_seed, Workspace()
     configs = [SteinTestConfig(N=N, m=m, level=spec.level) for m in spec.m_values]
     widest = max(configs, key=lambda config: config.m)
     calibration = _statistics(_running_statistics, widest, H0, n, spec.calib_reps, seed,
-                              ("calibrate",))
+                              ("calibrate",), False, work)
     evaluation = {h: _statistics(_running_statistics, widest, h, n, spec.eval_reps, seed,
-                                 ("evaluate", h)) for h in (H0, H1)}
+                                 ("evaluate", h), False, work) for h in (H0, H1)}
     cells = []
     for config in configs:
         row = config.dof - 1  # its even modes are a prefix of the widest's
@@ -422,7 +421,7 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     process yields a valid spec-order prefix of the cells with
     ``complete=False``.
     """
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import BrokenExecutor  # loads no pool module
 
     pairs = [(spec, (N, n)) for N in spec.N_values for n in spec.n_values]
     results: list[CellResult] = []
@@ -433,7 +432,7 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
                 results.append(result)
                 if on_cell is not None:
                     on_cell(result)
-    except (KeyboardInterrupt, MemoryError, BrokenProcessPool):
+    except (KeyboardInterrupt, MemoryError, BrokenExecutor):
         complete = False
 
     rows = tuple(row for cell in results for row in cell.rows)
@@ -512,7 +511,7 @@ def _compare_phase(unit) -> np.ndarray:
     """The (4, reps) statistics matrix of one (n, phase) unit of :func:`compare_edf`."""
     config, n, reps, seed, standardize_first, (hypothesis, tags) = unit
     return _statistics(_compare_kernel, config, hypothesis, n, reps, seed, tags,
-                       standardize_first)
+                       standardize_first, Workspace())
 
 
 def compare_edf(

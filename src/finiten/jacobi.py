@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers=None):
+def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers):
     """Yield P_0 .. P_{k_max} of P^(alpha,beta) at z = w - 1, in float64.
 
     The recurrence DLMF 18.9.2 in w, with A = alpha + beta and s = 2k + A:
@@ -51,17 +51,15 @@ def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers=No
     log10(alpha) digits where w ~ 1/N. For alpha > 0 and A > -1/2.
 
     P_0 is yielded as the scalar 1.0, so step 1's c2 P_0 is the scalar c2.
-    Rows 1 .. k_max are written into three arrays shaped like w, taken in
-    turn: ``buffers``, or new ones. Each step scales the row before last by
-    c2 in place, so a yielded row is valid only until the next one is
-    yielded; read it before asking for the next.
+    Rows 1 .. k_max are written into ``buffers``, three arrays shaped like
+    w, taken in turn. Each step scales the row before last by c2 in place,
+    so a yielded row is valid only until the next one is yielded; read it
+    before asking for the next.
     """
     A = alpha + beta
     yield 1.0
     if k_max < 1:
         return
-    if buffers is None:
-        buffers = [np.empty_like(w) for _ in range(3)]
     cur, row, spare = buffers
     np.multiply(w, 0.5 * (A + 2.0), out=cur)
     cur -= beta + 1.0

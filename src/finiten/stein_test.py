@@ -22,6 +22,7 @@ falls to the level. No SciPy function is loaded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +117,7 @@ def _chi2_sf(dof: int, t: float) -> float:
     return tail + math.fsum(terms)
 
 
+@functools.cache
 def _chi2_isf(dof: int, level: float) -> float:
     """The smallest float t with _chi2_sf(dof, t) <= level, for integer dof >= 1
     and 0 < level < 1: bisection on a bracket with sf(lo) > level >= sf(hi),
@@ -225,14 +227,12 @@ def _check_standardizable(config: SteinTestConfig) -> None:
                           f"skip standardisation, got {config.modes}")
 
 
-def _mode_coefficients(x: np.ndarray, config: SteinTestConfig, work=None) -> np.ndarray:
+def _mode_coefficients(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarray:
     """mu_k of every row of a (reps, n) matrix, as a (dof, reps) matrix in
     mode order: the one kernel behind every coefficient and statistic, with
     one float64 pass of the recurrence per parity (beta = -1/2 for even
     modes; +1/2, times y, for odd). Sums are weighted after reduction. Its
-    scratch is buffers 0 to 4 of ``work``, a :class:`Workspace` (a new one
-    by default)."""
-    work = Workspace() if work is None else work
+    scratch is buffers 0 to 4 of ``work``, a :class:`Workspace`."""
     w = np.multiply(x, x, out=work(0, x.shape))
     w *= 2.0 / config.N
     rows = [work(i, x.shape) for i in (1, 2, 3)]
@@ -261,28 +261,28 @@ def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     x = check_finite(values, "sample values")
     if x.ndim != 1 or x.size < 1:
         raise DomainError("coefficients expects a nonempty 1-D sample")
-    return dict(zip(config.modes, _mode_coefficients(x[None, :], config)[:, 0].tolist()))
+    mu = _mode_coefficients(x[None, :], config, Workspace())
+    return dict(zip(config.modes, mu[:, 0].tolist()))
 
 
-def running_statistics(samples: np.ndarray, config: SteinTestConfig, work=None) -> np.ndarray:
+def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     """Partial sums of T along the mode set, for every row of a (reps, n) matrix.
 
     Row i of the (len(config.modes), reps) result sums mu_k^2 over
     ``config.modes[:i + 1]``, added in mode order. The last row is
     :func:`batch_statistic`; for the default even modes, row i equals, bit
     for bit, T of the config whose m is ``config.modes[i]``. So one pass of
-    the recurrence up to the largest m gives T for every smaller m. A
-    caller that computes many batches may pass one :class:`Workspace` as
-    ``work`` to every call, so that the recurrence reuses its buffers.
+    the recurrence up to the largest m gives T for every smaller m.
     """
     x = check_finite(samples, "sample values")
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("samples must be a (reps, n) matrix with n >= 1")
-    return _running_statistics(x, config, work)
+    return _running_statistics(x, config, Workspace())
 
 
-def _running_statistics(x: np.ndarray, config: SteinTestConfig, work=None) -> np.ndarray:
-    """:func:`running_statistics` of a checked (reps, n) matrix, with no checks."""
+def _running_statistics(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarray:
+    """:func:`running_statistics` of a checked (reps, n) matrix, with no
+    checks, and ``work``, a :class:`Workspace`, as scratch."""
     return _running(_mode_coefficients(x, config, work))
 
 

@@ -1,10 +1,11 @@
-"""Scratch buffers that the kernels of one Monte Carlo phase reuse on every tile.
+"""Scratch buffers that the kernels of one Monte Carlo unit of work reuse.
 
-A phase runs the same kernels once per tile of draws. If each kernel made
-new tile-sized arrays, every tile would fault in fresh zeroed pages: the
-allocator hands freed blocks of this size back to the operating system
-between tiles. A :class:`Workspace` holds numbered float64 buffers for the
-life of one phase instead, so their pages are faulted in once.
+A unit of work runs its kernels once per tile of draws, over one or more
+phases. If each kernel made new tile-sized arrays, every tile would fault
+in fresh zeroed pages: the allocator hands freed blocks of this size back to
+the operating system between tiles and phases. A :class:`Workspace` holds
+numbered float64 buffers for the life of one unit instead, so their pages
+are faulted in once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class Workspace:
     ``work(i, shape)`` is buffer i as a C-contiguous array of that shape,
     holding whatever its last user left there. A kernel documents which
     numbers it writes; a caller keeps its own data out of them. A
-    workspace belongs to one phase (or one public call), never to a module.
+    workspace belongs to one unit of work or one public call; no kernel makes one.
     """
 
     def __init__(self):

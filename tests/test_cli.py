@@ -562,13 +562,28 @@ def test_table_commands_refuse_empty_lists(argv, message, tmp_path, capsys):
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-_CHECK_SCIPY = """
+_CHECK_LOADED = """
 import sys
 from finiten import cli
-code = cli.main(sys.argv[2:])
+module, loads, argv = sys.argv[1], sys.argv[2] == "loads", sys.argv[3:]
+code = cli.main(argv)
 assert code == 0, code
-assert ("scipy" in sys.modules) == (sys.argv[1] == "loads"), sys.argv[2:]
+assert (module in sys.modules) == loads, (module, argv)
 """
+
+
+def _check_loaded(module, loads, argv, tmp_path):
+    # a fresh process each, since an earlier import would hide a new one
+    if argv[0] == "test":
+        data = tmp_path / "data.txt"
+        data.write_text("\n".join(map(repr, FiniteNLaw(5).sample(200, 3).tolist())))
+        argv = [*argv, "--input", str(data)]
+    result = subprocess.run(
+        [sys.executable, "-c", _CHECK_LOADED, module, loads, *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") >= 2
 
 
 @pytest.mark.parametrize("scipy, argv", [
@@ -595,14 +610,22 @@ assert ("scipy" in sys.modules) == (sys.argv[1] == "loads"), sys.argv[2:]
     ("loads", ["dist", "--N", "401", "--x", "-19"]),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_scipy_is_loaded_only_by_commands_that_need_it(scipy, argv, tmp_path):
-    # a fresh process each, since an earlier import would hide a new one
-    if argv[0] == "test":
-        data = tmp_path / "data.txt"
-        data.write_text("\n".join(map(repr, FiniteNLaw(5).sample(200, 3).tolist())))
-        argv = [*argv, "--input", str(data)]
-    result = subprocess.run(
-        [sys.executable, "-c", _CHECK_SCIPY, scipy, *argv],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": _SRC},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.count("\n") >= 2
+    _check_loaded("scipy", scipy, argv, tmp_path)
+
+
+_GRID = ["grid", "--N-values", "5", "--n-values", "10,20", "--m-values", "4", "--calib-reps",
+         "1000", "--eval-reps", "100", "--seed", "1", "--quiet"]
+
+
+@pytest.mark.parametrize("pool, argv", [
+    ("spares", ["test", "--N", "5"]),
+    ("spares", ["dist", "--N", "5", "--x", "0.3"]),
+    ("spares", ["sample", "--N", "5", "--n", "5", "--seed", "1"]),
+    ("spares", ["calibrate", "--N", "5", "--n", "10", "--reps", "1000", "--seed", "1"]),
+    ("spares", [*_GRID, "--workers", "1"]),
+    ("spares", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000", "--seed", "1",
+                "--workers", "1"]),
+    ("loads", [*_GRID, "--workers", "2"]),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
+def test_pool_modules_are_loaded_only_where_a_pool_runs(pool, argv, tmp_path):
+    _check_loaded("concurrent.futures.process", pool, argv, tmp_path)

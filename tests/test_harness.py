@@ -129,7 +129,8 @@ def test_replications_are_a_prefix_of_longer_runs():
     config = SteinTestConfig(N=5.0, m=6)
 
     def statistics(hypothesis, reps, tags):
-        return harness._statistics(running_statistics, config, hypothesis, 20, reps, 4, tags)
+        return harness._statistics(_running_statistics, config, hypothesis, 20, reps, 4, tags,
+                                   False, Workspace())
 
     short = statistics(H0, 1000, ("calibrate",))
     long = statistics(H0, 1500, ("calibrate",))
@@ -140,7 +141,8 @@ def test_replications_are_a_prefix_of_longer_runs():
         assert np.array_equal(short, long[:, :1000])
 
 
-@pytest.mark.parametrize("kernel", [running_statistics, harness._compare_kernel])
+@pytest.mark.parametrize("kernel", [_running_statistics, harness._compare_kernel],
+                         ids=["running_statistics", "_compare_kernel"])
 @pytest.mark.parametrize("standardize", [False, True])
 def test_tiling_changes_no_statistic(monkeypatch, kernel, standardize):
     # 600 replications end inside the second block, and the default tile of
@@ -150,13 +152,14 @@ def test_tiling_changes_no_statistic(monkeypatch, kernel, standardize):
 
     def statistics(hypothesis):
         return harness._statistics(kernel, config, hypothesis, n, reps, 5, ("tiles", hypothesis),
-                                   standardize)
+                                   standardize, Workspace())
 
     expected = {h: statistics(h) for h in (H0, H1)}
     # one row per tile; 3 rows, which do not divide a block; one whole block
     for tile in (1, 3 * n, harness.BLOCK * n):
         monkeypatch.setattr(harness, "TILE", tile)
-        rows = [x.shape[0] for x in harness._blocks(config, H0, n, reps, 5, ("tiles",), False)]
+        tiles = harness._blocks(config, H0, n, reps, 5, ("tiles",), False, Workspace())
+        rows = [x.shape[0] for x in tiles]
         assert max(rows) == min(max(1, tile // n), harness.BLOCK) and sum(rows) == reps
         for h in (H0, H1):
             assert np.array_equal(statistics(h), expected[h]), (tile, h)
@@ -201,37 +204,54 @@ def test_workspace_path_matches_the_public_functions(monkeypatch, tile, hypothes
 _PHASE_FAULTS = """
 import resource, sys
 from finiten import harness
-from finiten.stein_test import SteinTestConfig, running_statistics
+from finiten.stein_test import SteinTestConfig, _running_statistics
+from finiten.workspace import Workspace
 
-kernel, hypothesis, standardize = {
-    "desk": (running_statistics, "h0", False),
-    "compare": (harness._compare_kernel, "h1", True),
-}[sys.argv[1]]
 config = SteinTestConfig(N=20.0, m=4)
 
-def faults(blocks):
+def phase(kernel, hypothesis, standardize):
+    return lambda reps: harness._statistics(kernel, config, hypothesis, 500, reps, 1, ("faults",),
+                                            standardize, Workspace())
+
+def grid_pair(reps):
+    spec = harness.GridSpec(N_values=(20.0,), n_values=(500,), m_values=(4,), calib_reps=reps,
+                            eval_reps=reps)
+    harness._grid_pair((spec, (20.0, 500)))
+
+desk = phase(_running_statistics, "h0", False)
+
+def faults(run, blocks):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    harness._statistics(kernel, config, hypothesis, 500, blocks * harness.BLOCK, 1, ("faults",),
-                        standardize)
+    run(blocks * harness.BLOCK)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-faults(4)  # the first use of every code path
-print(faults(4), faults(40))
+if sys.argv[1] == "grid":
+    faults(desk, 4), faults(grid_pair, 4)  # the first use of every code path
+    print(faults(desk, 4), faults(grid_pair, 4))
+else:
+    run = desk if sys.argv[1] == "desk" else phase(harness._compare_kernel, "h1", True)
+    faults(run, 4)
+    print(faults(run, 4), faults(run, 40))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
-@pytest.mark.parametrize("phase", ["desk", "compare"])
+@pytest.mark.parametrize("phase", ["desk", "compare", "grid"])
 def test_phase_page_faults_do_not_grow_with_its_tiles(phase):
     # n = 500 takes 4 tiles per block, so 40 blocks have 144 tiles more than
     # 4 blocks; a kernel that makes new tile-sized arrays faults their pages
     # in again on every tile (about 550 faults per tile), while reused
-    # buffers fault once a phase. The results themselves grow with the reps.
+    # buffers fault once a unit of work. The results themselves grow with
+    # the reps. A grid's (N, n) pair runs three phases of desk's size on one
+    # workspace, so it faults about as often as one phase, not three times.
     result = subprocess.run([sys.executable, "-c", _PHASE_FAULTS, phase], capture_output=True,
                             text=True, timeout=120, env=os.environ)
     assert result.returncode == 0, result.stderr
     few, many = map(int, result.stdout.split())
-    assert many - few < 20 * (40 - 4) * 4, (few, many)
+    if phase == "grid":
+        assert many < 1.5 * few, (few, many)
+    else:
+        assert many - few < 20 * (40 - 4) * 4, (few, many)
 
 
 def test_monte_carlo_peak_memory_does_not_scale_with_the_block():
@@ -646,7 +666,7 @@ def test_compare_pipeline_controls_size():
 
     def statistics(phase):
         return harness._statistics(harness._compare_kernel, config, H0, n, reps, 5, (phase,),
-                                   True)
+                                   True, Workspace())
 
     cal = statistics("compare-calibrate")
     assert cal.shape == (len(harness.COMPARE_TESTS), reps)
@@ -788,10 +808,10 @@ def test_standardised_calibration_refuses_modes_1_and_2_before_drawing(monkeypat
     config = SteinTestConfig(N=5, m=4, modes=(1, 2, 3, 4))
     assert calibrate(20, config, 1000, 1) > 0.0  # raw draws keep every mode
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew a sample")
+    def no_streams(self, block):
+        raise AssertionError("a replication stream was built")
 
-    monkeypatch.setattr(FiniteNLaw, "sample", no_draws)
+    monkeypatch.setattr(ReplicationStreams, "rng", no_streams)
     for modes in ((1, 3), (2, 4)):
         with pytest.raises(ConfigError, match="modes 1 and 2"):
             calibrate(20, SteinTestConfig(N=5, m=4, modes=modes), 1000, 1, standardize_first=True)

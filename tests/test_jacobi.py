@@ -98,8 +98,8 @@ def test_jacobi_rows_match_the_symmetric_recurrence(N):
     ref = jacobi_eval_all(a, 30, np.append(y, 1.0))
     ref = (ref[:, :-1] / ref[:, -1:]).astype(float)
     for odd in (0, 1):
-        at_one = [float(np.asarray(row).item())
-                  for row in jacobi_rows(a, odd - 0.5, 15 - odd, np.array([2.0]))]
+        at_one = [float(np.asarray(row).item()) for row in
+                  jacobi_rows(a, odd - 0.5, 15 - odd, np.array([2.0]), np.empty((3, 1)))]
         w = 2.0 * y * y
         buffers = [np.empty_like(w) for _ in range(3)]
         for j, row in enumerate(jacobi_rows(a, odd - 0.5, 15 - odd, w, buffers)):
@@ -120,7 +120,8 @@ def test_jacobi_rows_reuse_three_buffers_without_changing_a_row():
         buffers = [np.full(200, np.nan) for _ in range(3)]
         for size in (200, 57):
             w = 2.0 * rng.random(size) / 20.0
-            fresh = [np.array(row, copy=True) for row in jacobi_rows(8.5, beta, 12, w)]
+            new = [np.empty_like(w) for _ in range(3)]
+            fresh = [np.array(row, copy=True) for row in jacobi_rows(8.5, beta, 12, w, new)]
             views = [buffer[:size] for buffer in buffers]
             reused = [np.array(row, copy=True) for row in jacobi_rows(8.5, beta, 12, w, views)]
             assert len(reused) == 13

@@ -19,6 +19,7 @@ from finiten.stein_test import (
     running_statistics,
     standardize,
 )
+from finiten.workspace import Workspace
 from operator_reference import jacobi_psi, orthonormal_psi, reference_coefficients
 
 
@@ -159,7 +160,7 @@ def test_mode_coefficients_match_symmetric_recurrence(N, standardized):
         x = standardize(x)
     for modes in (tuple(range(1, 31)), even_modes(30), (1, 3, 29), (2, 5), (1, 4)):
         config = SteinTestConfig(N=N, m=max(4, *modes), modes=modes)
-        mu = _mode_coefficients(x, config)
+        mu = _mode_coefficients(x, config, Workspace())
         ref = reference_coefficients(x, config)
         assert np.all(np.abs(mu - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), modes
         t_ref = (ref * ref).sum(axis=0)
