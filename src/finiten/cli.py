@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_float_list, default=None, help="comma list of probabilities")
     _tail(p, _cmd_dist)
 
-    p = sub.add_parser("calibrate", help="Monte Carlo critical value under the null")
+    p = sub.add_parser("calibrate", help="raw-statistic null cutoff, for test --no-standardize "
+                       "--cutoff VALUE; test --cutoff calibrated calibrates the default test")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=4)

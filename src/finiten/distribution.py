@@ -361,15 +361,7 @@ class FiniteNLaw:
         shared rescaling y = x / sqrt(N) applies uniformly; values may
         exceed sqrt(N).
         """
-        out = np.empty(check_int(n, "sample size", 1))
-        self._gaussian_into(out, np.random.default_rng(seed))
-        return out
-
-    @staticmethod
-    def _gaussian_into(out: np.ndarray, rng: np.random.Generator, work=None) -> None:
-        """Fill ``out`` as :meth:`sample_gaussian_alternative` does, from
-        ``rng``; ``work`` is unused, for the signature of :meth:`_sample_into`."""
-        rng.standard_normal(out=out)
+        return np.random.default_rng(seed).standard_normal(check_int(n, "sample size", 1))
 
     def kl_to_gaussian(self) -> float:
         """Exact Kullback-Leibler divergence to the standard normal.

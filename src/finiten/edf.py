@@ -2,9 +2,9 @@
 
 Baselines for power comparisons: Kolmogorov-Smirnov, Cramer-von Mises,
 and Anderson-Darling, all computed from one sorted pass through the
-probability transforms u_i = F(x_(i)). Critical values are expected to
-come from Monte Carlo calibration under the null with the same pipeline
-as the targeted test (see :mod:`finiten.harness`); no asymptotic EDF
+probability transforms u_i = F(x_(i)). Their critical values come only
+from :func:`finiten.harness.compare_edf`, which calibrates them under the
+null with the same pipeline as the targeted test; no asymptotic EDF
 tables are provided.
 """
 
@@ -12,27 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, check_finite
-from .workspace import Workspace
-
-__all__ = ["batch_edf_statistics"]
+__all__: list[str] = []  # the kernel runs inside harness.compare_edf
 
 # Probability transforms are clamped away from {0, 1} before logs; raw
 # support-edge points otherwise send the Anderson-Darling sum to -inf.
 _LOG_CLAMP = 1e-15
 
 
-def batch_edf_statistics(samples, law) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KS, CvM, and AD statistics for every row of a (reps, n) matrix."""
-    x = check_finite(samples, "sample values")
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise DomainError("batch_edf_statistics expects a (reps, n) matrix")
-    return _edf_statistics(x, law, Workspace())
-
-
 def _edf_statistics(x: np.ndarray, law, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`batch_edf_statistics` of a checked (reps, n) matrix, with no
-    checks; its scratch is buffers 0 to 3 of ``work``, a :class:`Workspace`."""
+    """KS, CvM and AD statistics for every row of a finite (reps, n) matrix,
+    unchecked; its scratch is buffers 0 to 3 of ``work``, a :class:`Workspace`."""
     n = x.shape[1]
     # The sorted copy becomes the one work buffer once u (the CDF's buffer 0)
     # is formed; every step below writes into it or into u.

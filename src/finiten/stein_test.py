@@ -48,7 +48,6 @@ __all__ = [
     "standardize",
     "coefficients",
     "batch_statistic",
-    "running_statistics",
     "run_test",
 ]
 
@@ -265,8 +264,9 @@ def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     return dict(zip(config.modes, mu[:, 0].tolist()))
 
 
-def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
-    """Partial sums of T along the mode set, for every row of a (reps, n) matrix.
+def _running_statistics(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarray:
+    """Partial sums of T along the mode set, for every row of a finite
+    (reps, n) matrix, unchecked, with ``work``, a :class:`Workspace`, as scratch.
 
     Row i of the (len(config.modes), reps) result sums mu_k^2 over
     ``config.modes[:i + 1]``, added in mode order. The last row is
@@ -274,15 +274,6 @@ def running_statistics(samples: np.ndarray, config: SteinTestConfig) -> np.ndarr
     for bit, T of the config whose m is ``config.modes[i]``. So one pass of
     the recurrence up to the largest m gives T for every smaller m.
     """
-    x = check_finite(samples, "sample values")
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise DomainError("samples must be a (reps, n) matrix with n >= 1")
-    return _running_statistics(x, config, Workspace())
-
-
-def _running_statistics(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarray:
-    """:func:`running_statistics` of a checked (reps, n) matrix, with no
-    checks, and ``work``, a :class:`Workspace`, as scratch."""
     return _running(_mode_coefficients(x, config, work))
 
 
@@ -292,7 +283,10 @@ def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     Rows are used as given; pass them through :func:`standardize` first to
     test them as :func:`run_test` does.
     """
-    return running_statistics(samples, config)[-1]
+    x = check_finite(samples, "sample values")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DomainError("samples must be a (reps, n) matrix with n >= 1")
+    return _running_statistics(x, config, Workspace())[-1]
 
 
 def run_test(
@@ -306,8 +300,10 @@ def run_test(
     chi-squared cutoff and p-value do not hold the level on this path: at
     small N the test rejects too often (Monte Carlo size about 0.12 at
     N = 5, m = 4, n = 500, level 0.05). Pass a cutoff from
-    ``calibrate(n, config, reps, seed, standardize_first=True)``, which
-    runs this same pipeline under the null. For data aligned by
+    ``calibrate(n, config, reps, seed, standardize_first=True)`` (``test
+    --cutoff calibrated``), which runs this same pipeline under the null;
+    the default ``calibrate``, like ``finiten calibrate``, draws raw, for
+    ``test --no-standardize --cutoff <value>``. For data aligned by
     construction (e.g. simulation draws) pass ``standardize_first=False``
     (``--no-standardize`` in the CLI). The chi-squared cutoff is close to
     its level there near m = 4, but misses it for m >= 6 at small N or n

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import math
+import pathlib
 import pkgutil
 
 import pytest
@@ -81,6 +83,30 @@ def test_every_exported_name_exists():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# perfbench imports these three, and only a change to the benchmark may remove them
+_USED_BY_THE_BENCHMARK = {"compare_rows_to_csv", "POWER_CSV_HEADER", "COMPARE_CSV_HEADER"}
+
+
+def test_every_exported_name_is_used():
+    # a name a submodule exports is package API, or the package loads it
+    # somewhere outside __init__.py: as a name, an attribute or an import
+    loaded = set()
+    for path in pathlib.Path(finiten.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    allowed = set(finiten.__all__) | loaded | _USED_BY_THE_BENCHMARK
+    unused = [f"{module.__name__}.{name}" for module in _modules()[1:]
+              for name in getattr(module, "__all__", ()) if name not in allowed]
+    assert not unused
 
 
 def _public_callables(obj):

@@ -39,10 +39,8 @@ from finiten.harness import (
     run_grid,
     sanov_table,
 )
-from finiten.edf import batch_edf_statistics
-from finiten.stein_test import (
-    SteinTestConfig, _running_statistics, batch_statistic, running_statistics, standardize,
-)
+from finiten.edf import _edf_statistics
+from finiten.stein_test import SteinTestConfig, _running_statistics, batch_statistic, standardize
 from finiten.workspace import Workspace
 
 # Reference values for the closed-form large-deviation table.
@@ -76,6 +74,8 @@ def test_streams_are_deterministic_and_distinct():
     first = a.rng(3).standard_normal(8)
     for other in others:
         assert not np.array_equal(first, other.rng(3).standard_normal(8))
+    with pytest.raises(ConfigError, match="unsupported stream tag type: bytes"):
+        ReplicationStreams(0, b"x")
 
 
 # First two raw 64-bit outputs of blocks 0 and 3 for every phase key at
@@ -166,7 +166,8 @@ def test_tiling_changes_no_statistic(monkeypatch, kernel, standardize):
 
 
 @pytest.mark.parametrize("tile", ["default", "below-one-row"])
-@pytest.mark.parametrize("hypothesis, standardize_first", [(H0, False), (H0, True), (H1, True)])
+@pytest.mark.parametrize("hypothesis, standardize_first",
+                         [(H0, False), (H0, True), (H1, False), (H1, True)])
 def test_workspace_path_matches_the_public_functions(monkeypatch, tile, hypothesis,
                                                      standardize_first):
     # 600 replications of n = 300: default tiles of 218, 218 and 76 rows, then
@@ -192,8 +193,9 @@ def test_workspace_path_matches_the_public_functions(monkeypatch, tile, hypothes
     count = 0
     for x, want in zip(tiles, public_tiles(), strict=True):
         assert np.array_equal(x, want)
-        assert np.array_equal(_running_statistics(x, config, work), running_statistics(want, config))
-        edf = batch_edf_statistics(want, config.law)
+        assert np.array_equal(_running_statistics(x, config, work),
+                              _running_statistics(want, config, Workspace()))
+        edf = _edf_statistics(want, config.law, Workspace())
         assert np.array_equal(harness._compare_kernel(x, config, work),
                               np.vstack([batch_statistic(want, config), *edf]))
         assert np.array_equal(x, want)  # the kernels left the tile alone

@@ -12,11 +12,11 @@ from finiten.jacobi import JacobiBasis
 from finiten.stein_test import (
     SteinTestConfig,
     _mode_coefficients,
+    _running_statistics,
     batch_statistic,
     coefficients,
     even_modes,
     run_test,
-    running_statistics,
     standardize,
 )
 from finiten.workspace import Workspace
@@ -180,6 +180,15 @@ def test_coefficients_parity_and_single_point():
     single = coefficients(np.array([x]), config4)
     assert single[4] == pytest.approx(jacobi_psi(basis, 4, x / math.sqrt(5.0)), rel=1e-13)
 
+    # one sample only: a matrix or an empty sample is refused, on both paths of run_test
+    for bad in (np.zeros((2, 3)), []):
+        with pytest.raises(DomainError, match="coefficients expects a nonempty 1-D sample"):
+            coefficients(bad, config4)
+    matrix = _null_matrix(5.0, 50, 3, 407)
+    for standardize_first in (False, True):
+        with pytest.raises(DomainError, match="coefficients expects a nonempty 1-D sample"):
+            run_test(matrix, config4, standardize_first=standardize_first)
+
 
 def test_statistic_is_sum_of_squares():
     config = SteinTestConfig(N=5, m=10)
@@ -263,17 +272,18 @@ def test_batch_statistic_rejects_non_finite_rows():
         with pytest.raises(DomainError, match="sample values must be finite"):
             batch_statistic(x, config)
     with pytest.raises(DomainError, match=r"samples must be a \(reps, n\) matrix"):
-        running_statistics(_null_matrix(7.0, 20, 1, 406)[0], config)
+        batch_statistic(_null_matrix(7.0, 20, 1, 406)[0], config)
 
 
 def test_running_statistics_rows_are_each_m_bit_for_bit():
     # one recurrence up to m = 10 gives T of every smaller m exactly
     x = _null_matrix(7.0, 40, 30, 405)
-    running = running_statistics(x, SteinTestConfig(N=7, m=10))
+    running = _running_statistics(x, SteinTestConfig(N=7, m=10), Workspace())
     assert running.shape == (4, 30)
     for row, m in enumerate((4, 6, 8, 10)):
         assert np.array_equal(running[row], batch_statistic(x, SteinTestConfig(N=7, m=m)))
-    assert np.array_equal(running[1], running_statistics(x, SteinTestConfig(N=7, m=7))[-1])
+    assert np.array_equal(running[1],
+                          _running_statistics(x, SteinTestConfig(N=7, m=7), Workspace())[-1])
 
 
 def test_run_test_report_fields_and_decision():
