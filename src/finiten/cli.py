@@ -165,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_float_list, default=None, help="comma list of probabilities")
     _tail(p, _cmd_dist)
 
-    p = sub.add_parser("calibrate", help="raw-statistic null cutoff, for test --no-standardize "
-                       "--cutoff VALUE; test --cutoff calibrated calibrates the default test")
+    p = sub.add_parser("calibrate", help="null cutoff of the statistic that test computes, for "
+                       "test --cutoff VALUE (with --no-standardize on both, of the raw statistic)")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
@@ -174,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=reference.calib_reps)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--no-standardize", dest="standardize", action="store_false",
+                   help="calibrate the raw statistic, for test --no-standardize")
     _table_tail(p, _cmd_calibrate)
 
     # the five grid values default to None so that _cmd_grid can tell an
@@ -295,13 +297,12 @@ def _cmd_dist(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = SteinTestConfig(N=args.N, m=args.m, modes=_modes_argument(args.modes), level=args.level)
-    harness.check_calibration(args.n, config, args.reps)
+    harness.check_calibration(args.n, config, args.reps, args.standardize)
     seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:
-        entry = harness.CalibrationEntry(
-            N=float(args.N), n=args.n, m=args.m, level=args.level,
-            cutoff=harness.calibrate(args.n, config, args.reps, seed), reps=args.reps, seed=seed,
-        )
+        cutoff = harness.calibrate(args.n, config, args.reps, seed, args.standardize)
+        entry = harness.CalibrationEntry(N=float(args.N), n=args.n, m=args.m, level=args.level,
+                                         cutoff=cutoff, reps=args.reps, seed=seed)
         out.write(_table_text(args, harness.records_to_csv(harness.CalibrationEntry, [entry]),
                               harness.records_to_json([entry])))
     return 0

@@ -30,8 +30,8 @@ keep full relative precision up to N = 1e8 and beyond; below it the psi
 difference in KL is carried up to the series by the recurrence
 psi(y + 1) = psi(y) + 1/y.
 
-``scipy.special`` is imported only inside :meth:`FiniteNLaw._betainc_cdf`,
-so at integer N up to 400 no method loads SciPy.
+``scipy.special`` is imported only in the incomplete-Beta route of
+:meth:`FiniteNLaw._cdf`, so at integer N up to 400 no method loads SciPy.
 """
 
 from __future__ import annotations
@@ -143,21 +143,16 @@ class FiniteNLaw:
         )
         object.__setattr__(self, "log_norm", log_norm)
 
-    # Shape parameter of the symmetric Beta obtained by y = (1 + x/sqrt(N))/2.
-    @property
-    def _beta_shape(self) -> float:
-        return (self.N - 1.0) / 2.0
-
     def log_density(self, x):
         """Log density at x; -inf outside the open support."""
         arr = check_finite(x, "evaluation points")
-        inside = 1.0 - (arr * arr) / self.N
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                inside > 0.0,
-                self.log_norm + self.alpha * np.log(np.maximum(inside, 1e-300)),
-                -np.inf,
-            )
+        with np.errstate(over="ignore"):  # a point whose square overflows lies outside
+            inside = 1.0 - (arr * arr) / self.N
+        out = np.where(
+            inside > 0.0,
+            self.log_norm + self.alpha * np.log(np.maximum(inside, 1e-300)),
+            -np.inf,
+        )
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
         return out
@@ -200,14 +195,11 @@ class FiniteNLaw:
                 out[lower] = tails[:split]
                 out[upper] = 1.0 - tails[split:]
             return out
-        # Pin the centre exactly; betainc is symmetric only to rounding.
-        return np.where(arr == 0.0, 0.5, self._betainc_cdf(arr))
-
-    def _betainc_cdf(self, arr: np.ndarray) -> np.ndarray:
         from scipy.special import betainc
         z = np.clip((1.0 + arr / self.support_bound) / 2.0, 0.0, 1.0)
-        a = self._beta_shape
-        return betainc(a, a, z)
+        a = (self.N - 1.0) / 2.0
+        # Pin the centre exactly; betainc is symmetric only to rounding.
+        return np.where(arr == 0.0, 0.5, betainc(a, a, z))
 
     def _lower_tail_cdf(self, arr: np.ndarray) -> np.ndarray:
         """CDF of a 1-D array of points x <= 0, by DLMF 8.17.8.
@@ -220,7 +212,7 @@ class FiniteNLaw:
         exp(log_norm), the prefactor is exp(log_norm + a log((1 - s)(1 + s)))
         sqrt(N)/(2a), with the log taken as two log1p.
         """
-        a = self._beta_shape
+        a = (self.N - 1.0) / 2.0
         s = np.divide(arr, self.support_bound)
         np.clip(s, -1.0, 0.0, out=s)
         z = 0.5 * (1.0 + s)

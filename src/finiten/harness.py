@@ -21,7 +21,7 @@ one pool path, ``_run_units``: a grid's unit is an (N, n) pair and a
 comparison's an (n, phase) pair; a pool of at most ``workers`` processes,
 never more than there are units, runs the largest n first, and results
 are taken in unit order, so they are bit-identical for any worker count.
-Only one tile of draws is held at a time, so peak memory no longer scales
+Only one tile of draws is held at a time, so peak memory does not grow
 with 512 n and large grids never materialise full sample matrices. Each
 unit of work (an (N, n) or (n, phase) pair, a :func:`calibrate` or
 :func:`estimate_rejection` call) gives every phase it runs one
@@ -229,13 +229,6 @@ class GridSpec:
 # Core sampling loops
 # ----------------------------------------------------------------------
 
-def _normalize_hypothesis(hypothesis: str) -> str:
-    name = str(hypothesis).lower()
-    if name not in (H0, H1):
-        raise ConfigError(f"hypothesis must be '{H0}' or '{H1}', got {hypothesis!r}")
-    return name
-
-
 def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work):
     """Yield the draws of replications 0..reps-1 of one phase, one tile at a time.
 
@@ -244,9 +237,9 @@ def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work):
     of that stream by consecutive calls, each of max(1, TILE // n) whole
     rows, so replication r is row r - b * BLOCK of the block's tiles joined
     in order. Every tile is drawn, and standardised in place, into one
-    array that this generator owns, with buffer 0 of ``work`` (a
-    :class:`Workspace`) as scratch: a yielded tile is valid only until the
-    next one is asked for.
+    array that this generator owns; the sampler and the standardiser take
+    their scratch from ``work``, a :class:`Workspace`. A yielded tile is
+    valid only until the next one is asked for.
     """
     streams = ReplicationStreams(seed, *tags, config.N, n)
     rows = max(1, TILE // n)
@@ -263,7 +256,7 @@ def _blocks(config, hypothesis, n, reps, seed, tags, standardize_first, work):
                 rng.standard_normal(out=x)
             x = x.reshape(count, n)
             if standardize_first:
-                _standardize(x, work(0, x.shape))
+                _standardize(x, work)
             yield x
 
 
@@ -311,13 +304,15 @@ def calibrate(
     returns the empirical (1 - level) quantile of the statistic.
     Deterministic given the seed. The default draws raw, as
     :func:`run_grid` and :func:`estimate_rejection` do (:func:`compare_edf`
-    standardises). So its value, like ``finiten calibrate``'s, belongs with
-    ``test --no-standardize --cutoff <value>``; ``test --cutoff calibrated``
-    calibrates the default, standardising :func:`run_test`. At N = 5,
-    n = 100, m = 4 the raw cutoff is 3.850, the standardised 6.715, and the
-    default test given 3.850 rejects 13.2% of null samples at level 0.05.
-    With ``standardize_first``, a mode set with mode 1 or 2 raises
-    ConfigError, as in :func:`run_test`.
+    standardises), so its value, like ``finiten calibrate
+    --no-standardize``'s, belongs with ``test --no-standardize --cutoff
+    <value>``. With ``standardize_first`` it calibrates the pipeline of the
+    default :func:`run_test`, as ``finiten calibrate`` and ``test --cutoff
+    calibrated`` do. The two differ: at N = 5, n = 100, m = 4 the raw
+    cutoff is 3.850, the standardised 6.715, and the default test given
+    3.850 rejects 13.2% of null samples at level 0.05. With
+    ``standardize_first``, a mode set with mode 1 or 2 raises ConfigError,
+    as in :func:`run_test`.
     """
     n, reps = check_calibration(n, config, reps, standardize_first)
     stats = _statistics(_running_statistics, config, H0, n, reps, seed, ("calibrate",),
@@ -347,14 +342,16 @@ def estimate_rejection(
     by construction, so the statistic is evaluated on the raw draws.
     """
     n = check_int(n, "sample size", 1)
-    hypothesis = _normalize_hypothesis(hypothesis)
+    name = str(hypothesis).lower()
+    if name not in (H0, H1):
+        raise ConfigError(f"hypothesis must be '{H0}' or '{H1}', got {hypothesis!r}")
     if cutoff_source not in (THEORETICAL, CALIBRATED):
         raise ConfigError(f"cutoff_source must be theoretical or calibrated, got {cutoff_source!r}")
     cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
-    stats = _statistics(_running_statistics, config, hypothesis, n, reps, seed,
-                        ("evaluate", hypothesis), False, Workspace())
-    return _power_row(config, n, hypothesis, stats[-1], seed, cutoff_source, cutoff)
+    stats = _statistics(_running_statistics, config, name, n, reps, seed,
+                        ("evaluate", name), False, Workspace())
+    return _power_row(config, n, name, stats[-1], seed, cutoff_source, cutoff)
 
 
 # ----------------------------------------------------------------------

@@ -199,23 +199,27 @@ def standardize(values) -> np.ndarray:
     Takes one sample of shape (n,) or a (reps, n) matrix with one sample
     per row, and works along the last axis. Idempotent and invariant
     under positive affine rescaling of each sample. Raises
-    DegenerateSampleError if any sample is constant.
+    DegenerateSampleError if any sample is constant, and DomainError if
+    the mean square of any overflows.
     """
     x = check_finite(values, "sample values")
     if x.ndim not in (1, 2) or x.shape[-1] < 2:
         raise DomainError("standardize requires an (n,) or (reps, n) sample with n >= 2")
     out = np.array(x)
-    _standardize(out, np.empty_like(out))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises DomainError
+        _standardize(out, Workspace())
     return out
 
 
-def _standardize(x: np.ndarray, square: np.ndarray) -> None:
+def _standardize(x: np.ndarray, work) -> None:
     """Standardise the rows of x in place: the kernel of :func:`standardize`,
-    with ``square``, an array of x's shape, as scratch for the squares."""
+    with buffer 0 of ``work``, a :class:`Workspace`, as scratch for the squares."""
     x -= x.mean(axis=-1, keepdims=True)
-    scale = np.sqrt(np.multiply(x, x, out=square).mean(axis=-1, keepdims=True))
+    scale = np.sqrt(np.multiply(x, x, out=work(0, x.shape)).mean(axis=-1, keepdims=True))
     if np.any(scale == 0.0):
         raise DegenerateSampleError("sample is constant; no scale information")
+    if not np.isfinite(scale).all():
+        raise DomainError("sample values are too large: their mean square overflows")
     x /= scale
 
 
@@ -246,11 +250,6 @@ def _mode_coefficients(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarr
     return mu
 
 
-def _running(mu: np.ndarray) -> np.ndarray:
-    """Partial sums of mu_k^2 down the mode axis, in mode order; the last row is T."""
-    return np.cumsum(mu * mu, axis=0)
-
-
 def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     """Empirical mode coefficients mu_k = n^(-1/2) sum_i psi_k(x_i/sqrt(N)).
 
@@ -274,7 +273,8 @@ def _running_statistics(x: np.ndarray, config: SteinTestConfig, work) -> np.ndar
     for bit, T of the config whose m is ``config.modes[i]``. So one pass of
     the recurrence up to the largest m gives T for every smaller m.
     """
-    return _running(_mode_coefficients(x, config, work))
+    mu = _mode_coefficients(x, config, work)
+    return np.cumsum(mu * mu, axis=0)
 
 
 def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
@@ -300,10 +300,11 @@ def run_test(
     chi-squared cutoff and p-value do not hold the level on this path: at
     small N the test rejects too often (Monte Carlo size about 0.12 at
     N = 5, m = 4, n = 500, level 0.05). Pass a cutoff from
-    ``calibrate(n, config, reps, seed, standardize_first=True)`` (``test
-    --cutoff calibrated``), which runs this same pipeline under the null;
-    the default ``calibrate``, like ``finiten calibrate``, draws raw, for
-    ``test --no-standardize --cutoff <value>``. For data aligned by
+    ``calibrate(n, config, reps, seed, standardize_first=True)`` (``finiten
+    calibrate``, or ``test --cutoff calibrated``), which runs this same
+    pipeline under the null; the default ``calibrate``, like ``finiten
+    calibrate --no-standardize``, draws raw, for ``test --no-standardize
+    --cutoff <value>``. For data aligned by
     construction (e.g. simulation draws) pass ``standardize_first=False``
     (``--no-standardize`` in the CLI). The chi-squared cutoff is close to
     its level there near m = 4, but misses it for m >= 6 at small N or n
@@ -312,7 +313,8 @@ def run_test(
     ``standardize_first=False`` (``--cutoff calibrated``) for an exact level.
 
     Standardising zeroes mu_1 and mu_2, so on that path a mode set with
-    mode 1 or 2 raises ConfigError.
+    mode 1 or 2 raises ConfigError. A sample whose mean square, or whose
+    T, overflows raises DomainError.
 
     The test rejects when T exceeds ``cutoff``: by default (None) the
     chi-squared(dof) quantile at 1 - level, found by bisection on the
@@ -324,7 +326,11 @@ def run_test(
     if standardize_first:
         _check_standardizable(config)
         x = standardize(values)
-    coef = coefficients(x, config)
-    t = float(_running(np.fromiter(coef.values(), float))[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T raises DomainError
+        coef = coefficients(x, config)
+        mu = np.fromiter(coef.values(), float)
+        t = float(np.cumsum(mu * mu, axis=0)[-1])
+    if not math.isfinite(t):
+        raise DomainError("sample values are too large: the statistic T is not finite")
     return TestReport(statistic=t, dof=config.dof, cutoff=cutoff,
                       p_value=_chi2_sf(config.dof, t), reject=bool(t > cutoff), coefficients=coef)

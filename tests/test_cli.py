@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from finiten import FiniteNLaw, cli, harness
+from finiten.stein_test import SteinTestConfig, run_test
 
 SIGMA_TABLE_N5 = {
     1: 1.7889, 2: 3.2071, 3: 4.3818, 4: 5.3936, 5: 6.2897,
@@ -223,6 +225,53 @@ def test_calibrate_csv_and_validation():
     assert too_few.returncode == 2
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_calibrate_calibrates_the_pipeline_that_test_runs(seed, capsys):
+    config = SteinTestConfig(N=5, m=4)
+    argv = ["calibrate", "--N", "5", "--n", "30", "--reps", "1000", "--seed", str(seed)]
+    outputs = []
+    for extra, standardize_first in (([], True), (["--no-standardize"], False)):
+        assert cli.main([*argv, *extra]) == 0
+        cutoff = harness.calibrate(30, config, 1000, seed, standardize_first=standardize_first)
+        entry = harness.CalibrationEntry(N=5.0, n=30, m=4, level=0.05, cutoff=cutoff, reps=1000,
+                                         seed=seed)
+        outputs.append(capsys.readouterr().out)
+        assert outputs[-1] == harness.records_to_csv(harness.CalibrationEntry, [entry])
+    assert outputs[0] != outputs[1]
+
+
+def test_calibrate_refuses_modes_1_and_2_unless_raw(capsys):
+    argv = ["calibrate", "--N", "5", "--n", "30", "--modes", "1,4", "--reps", "1000",
+            "--seed", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("finiten: error: modes 1 and 2 are zero")
+    assert captured.err.count("\n") == 1
+    assert cli.main([*argv, "--no-standardize"]) == 0
+    assert capsys.readouterr().out.startswith("N,n,m,level,cutoff,reps,seed\n")
+
+
+def test_default_test_holds_its_level_at_the_default_calibrate_cutoff(capsys):
+    # the cutoff as printed, 6 significant digits, is what a user passes on
+    cutoffs = []
+    for extra in ([], ["--no-standardize"]):
+        assert cli.main(["calibrate", "--N", "5", "--n", "100", "--m", "4", "--reps", "20000",
+                         "--seed", "3", *extra]) == 0
+        cutoffs.append(float(capsys.readouterr().out.splitlines()[1].split(",")[4]))
+    reps = 4000
+    samples = FiniteNLaw(5).sample(100 * reps, 2026).reshape(reps, 100)
+    config = SteinTestConfig(N=5, m=4)
+    reports = [run_test(x, config, cutoff=cutoffs[0]) for x in samples]
+    size = sum(report.reject for report in reports) / reps
+    # the binomial standard error of the rate, plus that of the calibration
+    se = math.sqrt(0.05 * 0.95 * (1 / reps + 1 / 20000))
+    assert abs(size - 0.05) < 4.0 * se
+    # the raw cutoff, the default before this pairing, misses the level
+    raw_size = sum(report.statistic > cutoffs[1] for report in reports) / reps
+    assert raw_size > 0.05 + 10.0 * se
+
+
 def test_grid_emits_rows_and_completeness_flag():
     result = run_cli(
         "grid", "--N-values", "5", "--n-values", "10,20", "--m-values", "4",
@@ -340,6 +389,47 @@ def test_boundary_reports_n_star_overflow_in_one_line(N):
     assert result.stderr.splitlines() == [
         f"finiten: error: n_star at N={float(N)!r} exceeds the float range"
     ]
+
+
+@pytest.mark.parametrize("sample, argv, message", [
+    ("0.1 -0.4 1e200 0.7 -1.1", ["--m", "4"], "their mean square overflows"),
+    ("0.1 -0.4 1e200 0.7 -1.1", ["--cutoff", "calibrated", "--reps", "1000"],
+     "their mean square overflows"),
+    ("1e308 1.5e308 0.3", ["--m", "4"], "their mean square overflows"),
+    ("0.1 -0.4 1e160 0.7 -1.1", ["--m", "6", "--no-standardize"], "T is not finite"),
+    ("0.1 -1e40 1e40 0.7 -1.1", ["--m", "10", "--no-standardize"], "T is not finite"),
+    ("0.1 -1e40 1e40 0.7 -1.1", ["--m", "4", "--no-standardize", "--format", "json"],
+     "T is not finite"),
+], ids=["scale", "scale-calibrated", "mean", "nan-T", "infinite-T", "infinite-T-one-dof"])
+def test_test_command_refuses_a_sample_that_overflows(sample, argv, message):
+    result = run_cli("test", "--N", "5", *argv, stdin=sample + "\n")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("finiten: error: sample values are too large")
+    assert lines[0].endswith(message)
+
+
+def test_dist_far_outside_the_support_warns_nothing():
+    result = run_cli("dist", "--N", "5", "--x", "1e200,-1e200")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout == "x,density,log_density,cdf\n1e+200,0,-inf,1\n-1e+200,0,-inf,0\n"
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("finiten ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line.split(">", 1)[0])[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -110,6 +110,17 @@ def test_standardize_two_points_and_errors():
         standardize(np.array([1.0, math.nan]))
 
 
+def test_standardize_refuses_a_mean_square_that_overflows():
+    # an overflowing scale would standardise the sample to zeros; an
+    # overflowing mean would leave only -inf
+    for x in (np.array([0.1, -0.4, 1e200, 0.7, -1.1]), np.array([1e308, 1.5e308, 0.3]),
+              np.array([[0.1, -0.4, 0.7], [0.1, -0.4, 1e200]])):
+        with pytest.raises(DomainError, match="mean square overflows"):
+            standardize(x)
+    z = standardize(np.array([0.1, -0.4, 1e150, 0.7, -1.1]))
+    assert np.all(np.isfinite(z)) and np.mean(z * z) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_standardize_matrix_matches_rows():
     rng = np.random.default_rng(2)
     x = rng.normal(1.0, 3.0, size=(7, 50))
@@ -335,6 +346,19 @@ def test_run_test_standardize_toggle():
     aligned = run_test(x, config, standardize_first=True)
     assert raw.statistic != aligned.statistic  # alignment changes the projection
     assert raw.statistic == batch_statistic(x[None, :], config)[0]
+
+
+@pytest.mark.parametrize("values, m, standardize_first", [
+    ([0.1, -0.4, 1e200, 0.7, -1.1], 4, True),
+    ([0.1, -0.4, 1e160, 0.7, -1.1], 6, False),
+    ([0.1, -1e40, 1e40, 0.7, -1.1], 10, False),
+    ([0.1, -1e40, 1e40, 0.7, -1.1], 4, False),
+], ids=["scale-overflow", "nan-T", "infinite-T", "infinite-T-one-dof"])
+def test_run_test_refuses_a_sample_that_overflows(values, m, standardize_first):
+    # a RuntimeWarning is an error under this suite's settings, so these
+    # calls also show that no warning escapes
+    with pytest.raises(DomainError, match="too large"):
+        run_test(values, SteinTestConfig(N=5, m=m), standardize_first=standardize_first)
 
 
 def test_run_test_refuses_modes_1_and_2_on_standardised_path():
