@@ -198,28 +198,30 @@ def standardize(values) -> np.ndarray:
 
     Takes one sample of shape (n,) or a (reps, n) matrix with one sample
     per row, and works along the last axis. Idempotent and invariant
-    under positive affine rescaling of each sample. Raises
-    DegenerateSampleError if any sample is constant, and DomainError if
-    the mean square of any overflows.
+    under positive affine rescaling of each sample. Each row is first
+    multiplied by 2^-e, where 2^e is the power of two at its largest
+    magnitude: that scales every sum, square and root exactly, so a row
+    and the row times any power of two that keeps it normal give the same
+    bits, and no finite row loses its scale to overflow or underflow.
+    Raises DegenerateSampleError if any sample is constant.
     """
     x = check_finite(values, "sample values")
     if x.ndim not in (1, 2) or x.shape[-1] < 2:
         raise DomainError("standardize requires an (n,) or (reps, n) sample with n >= 2")
-    out = np.array(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises DomainError
-        _standardize(out, Workspace())
+    exponent = np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+    out = np.ldexp(x, -exponent)
+    _standardize(out, Workspace())
     return out
 
 
 def _standardize(x: np.ndarray, work) -> None:
     """Standardise the rows of x in place: the kernel of :func:`standardize`,
-    with buffer 0 of ``work``, a :class:`Workspace`, as scratch for the squares."""
+    with buffer 0 of ``work``, a :class:`Workspace`, as scratch for the squares.
+    Unscaled: Monte Carlo draws are bounded by sqrt(N) or Gaussian."""
     x -= x.mean(axis=-1, keepdims=True)
     scale = np.sqrt(np.multiply(x, x, out=work(0, x.shape)).mean(axis=-1, keepdims=True))
     if np.any(scale == 0.0):
         raise DegenerateSampleError("sample is constant; no scale information")
-    if not np.isfinite(scale).all():
-        raise DomainError("sample values are too large: their mean square overflows")
     x /= scale
 
 
@@ -313,8 +315,9 @@ def run_test(
     ``standardize_first=False`` (``--cutoff calibrated``) for an exact level.
 
     Standardising zeroes mu_1 and mu_2, so on that path a mode set with
-    mode 1 or 2 raises ConfigError. A sample whose mean square, or whose
-    T, overflows raises DomainError.
+    mode 1 or 2 raises ConfigError. Standardising answers every finite
+    sample with the T of its copy rescaled by a power of two; without it,
+    a sample whose T overflows raises DomainError.
 
     The test rejects when T exceeds ``cutoff``: by default (None) the
     chi-squared(dof) quantile at 1 - level, found by bisection on the

@@ -391,16 +391,28 @@ def test_boundary_reports_n_star_overflow_in_one_line(N):
     ]
 
 
+@pytest.mark.parametrize("sample, argv", [
+    ("0.1 -0.4 1e200 0.7 -1.1", ["--m", "4"]),
+    ("0.1 -0.4 1e200 0.7 -1.1", ["--cutoff", "calibrated", "--reps", "1000", "--seed", "1"]),
+    ("1e308 1.5e308 0.3", ["--m", "4"]),
+], ids=["scale", "scale-calibrated", "mean"])
+def test_test_command_answers_a_sample_of_any_finite_scale(sample, argv):
+    # unscaled, these squares overflow; standardising first scales each
+    # sample exactly by a power of two, so the sample times 2^-600 prints
+    # the same bytes
+    result = run_cli("test", "--N", "5", *argv, stdin=sample + "\n")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    scaled = " ".join(repr(math.ldexp(float(v), -600)) for v in sample.split())
+    assert run_cli("test", "--N", "5", *argv, stdin=scaled + "\n").stdout == result.stdout
+
+
 @pytest.mark.parametrize("sample, argv, message", [
-    ("0.1 -0.4 1e200 0.7 -1.1", ["--m", "4"], "their mean square overflows"),
-    ("0.1 -0.4 1e200 0.7 -1.1", ["--cutoff", "calibrated", "--reps", "1000"],
-     "their mean square overflows"),
-    ("1e308 1.5e308 0.3", ["--m", "4"], "their mean square overflows"),
     ("0.1 -0.4 1e160 0.7 -1.1", ["--m", "6", "--no-standardize"], "T is not finite"),
     ("0.1 -1e40 1e40 0.7 -1.1", ["--m", "10", "--no-standardize"], "T is not finite"),
     ("0.1 -1e40 1e40 0.7 -1.1", ["--m", "4", "--no-standardize", "--format", "json"],
      "T is not finite"),
-], ids=["scale", "scale-calibrated", "mean", "nan-T", "infinite-T", "infinite-T-one-dof"])
+], ids=["nan-T", "infinite-T", "infinite-T-one-dof"])
 def test_test_command_refuses_a_sample_that_overflows(sample, argv, message):
     result = run_cli("test", "--N", "5", *argv, stdin=sample + "\n")
     assert result.returncode == 2

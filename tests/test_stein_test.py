@@ -110,15 +110,20 @@ def test_standardize_two_points_and_errors():
         standardize(np.array([1.0, math.nan]))
 
 
-def test_standardize_refuses_a_mean_square_that_overflows():
-    # an overflowing scale would standardise the sample to zeros; an
-    # overflowing mean would leave only -inf
+def test_standardize_answers_a_sample_of_any_finite_scale():
+    # unscaled, the squares of these overflow (a scale of inf would give
+    # zeros, a mean of inf only -inf) or underflow (a "constant" sample)
     for x in (np.array([0.1, -0.4, 1e200, 0.7, -1.1]), np.array([1e308, 1.5e308, 0.3]),
-              np.array([[0.1, -0.4, 0.7], [0.1, -0.4, 1e200]])):
-        with pytest.raises(DomainError, match="mean square overflows"):
-            standardize(x)
-    z = standardize(np.array([0.1, -0.4, 1e150, 0.7, -1.1]))
-    assert np.all(np.isfinite(z)) and np.mean(z * z) == pytest.approx(1.0, rel=1e-15)
+              np.array([[0.1, -0.4, 0.7], [0.1, -0.4, 1e200]]),
+              np.array([1e-200, 2e-200, 3e-200, -1e-200, 5e-200]),
+              np.array([5e-324, 0.0, 1e-323])):
+        z = standardize(x)
+        assert np.all(np.isfinite(z))
+        assert np.all(np.abs(np.mean(z * z, axis=-1) - 1.0) <= 1e-15)
+        for row, z_row in zip(np.atleast_2d(x), np.atleast_2d(z)):
+            assert np.array_equal(standardize(row), z_row)
+    z = standardize(np.array([0.1, -0.4, 1e200, 0.7, -1.1]))
+    assert z == pytest.approx([-0.5, -0.5, 2.0, -0.5, -0.5], rel=1e-15)
 
 
 def test_standardize_matrix_matches_rows():
@@ -349,16 +354,47 @@ def test_run_test_standardize_toggle():
 
 
 @pytest.mark.parametrize("values, m, standardize_first", [
-    ([0.1, -0.4, 1e200, 0.7, -1.1], 4, True),
     ([0.1, -0.4, 1e160, 0.7, -1.1], 6, False),
     ([0.1, -1e40, 1e40, 0.7, -1.1], 10, False),
     ([0.1, -1e40, 1e40, 0.7, -1.1], 4, False),
-], ids=["scale-overflow", "nan-T", "infinite-T", "infinite-T-one-dof"])
+], ids=["nan-T", "infinite-T", "infinite-T-one-dof"])
 def test_run_test_refuses_a_sample_that_overflows(values, m, standardize_first):
     # a RuntimeWarning is an error under this suite's settings, so these
     # calls also show that no warning escapes
     with pytest.raises(DomainError, match="too large"):
         run_test(values, SteinTestConfig(N=5, m=m), standardize_first=standardize_first)
+
+
+def test_standardised_test_is_invariant_under_powers_of_two():
+    # standardize scales each sample by the power of two at its largest
+    # magnitude first, so x and x * 2^k give the same bits wherever x * 2^k
+    # stays normal
+    rng = np.random.default_rng(21)
+    config = SteinTestConfig(N=5, m=8)
+    for _ in range(20):
+        x = rng.uniform(-2.0, 2.0, size=rng.integers(2, 60)) * 2.0 ** rng.integers(-40, 40)
+        want = run_test(x, config)
+        lowest = math.frexp(np.abs(x[x != 0.0]).min())[1]
+        highest = math.frexp(np.abs(x).max())[1]
+        for k in rng.integers(-1021 - lowest, 1024 - highest, size=5):
+            assert run_test(np.ldexp(x, k), config) == want
+
+
+@pytest.mark.parametrize("values, scale", [
+    ([1e-200, 2e-200, 3e-200, -1e-200, 5e-200], 1e-200),
+    ([1e-160, 2e-160, 3e-160, -1e-160, 5e-160], 1e-160),
+    ([0.1, -0.4, 1e200, 0.7, -1.1], 1e200),
+    ([1e308, 1.5e308, 0.3], 1e308),
+], ids=["tiny", "subnormal-squares", "huge", "huge-pair"])
+def test_standardised_test_answers_every_finite_scale(values, scale):
+    # unscaled, the first exits as constant, the second loses digits to
+    # subnormal squares, and the last two overflow: each now gets the T
+    # of its copy divided by scale
+    config = SteinTestConfig(N=5, m=6)
+    got = run_test(values, config)
+    want = run_test([v / scale for v in values], config)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-13)
+    assert got.coefficients == pytest.approx(want.coefficients, rel=1e-13, abs=1e-13)
 
 
 def test_run_test_refuses_modes_1_and_2_on_standardised_path():
