@@ -380,6 +380,16 @@ def test_test_command_reports_sigma_overflow_in_one_line():
     assert "exceeds the float range" in lines[0]
 
 
+def test_test_command_reports_mode_weight_overflow_in_one_line():
+    # sigma_30 is finite at N = 1.2e22, the folded weight of mode 30 is not
+    result = run_cli("test", "--N", "1.2e22", "--m", "30", stdin="0.1 -0.2 0.3\n")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "finiten: error: mode weight 30 at alpha=6e+21 exceeds the float range"
+    ]
+
+
 @pytest.mark.parametrize("N", ["1e154", "3e154"])
 def test_boundary_reports_n_star_overflow_in_one_line(N):
     # KL is subnormal at 1e154 and 0 at 3e154, so log(1/(1 - target)) / KL is not finite

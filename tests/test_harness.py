@@ -81,16 +81,16 @@ def test_streams_are_deterministic_and_distinct():
 # First two raw 64-bit outputs of blocks 0 and 3 for every phase key at
 # seed 2024, N = 5, n = 50. A change here changes every simulated number.
 PINNED_STREAMS = {
-    ("calibrate",): ((5588638232432638108, 12576031059990906860),
-                     (14637468243418141202, 1011429083355570775)),
-    ("evaluate", H0): ((14095098242517070646, 9532076647636718781),
-                       (9950134567019091739, 12816067633037332060)),
-    ("evaluate", H1): ((3614701511909482075, 5792251718646013473),
-                       (8330833080048187283, 18042506206549348295)),
-    ("compare-calibrate",): ((361629222152995527, 7084732767809696539),
-                             (15444327205330265240, 12405067651847658433)),
-    ("compare-evaluate",): ((14742437927069823796, 13251013472528931297),
-                            (17840283360514525084, 3459403772216056700)),
+    ("calibrate",): ((6582826036391492040, 9009554873290623611),
+                     (2367320927700028376, 8269519502058401952)),
+    ("evaluate", H0): ((9842381808202359847, 17120528578209084237),
+                       (197815946654787135, 6532474628591399746)),
+    ("evaluate", H1): ((688055413160965249, 9513372172467943611),
+                       (5492746643669311364, 12922394331744744313)),
+    ("compare-calibrate",): ((18201460588009081567, 11383355675181216610),
+                             (16625482165167682146, 9254416253588637886)),
+    ("compare-evaluate",): ((4923785712653635277, 4084913236454809253),
+                            (15098034830277433875, 615236090731365369)),
 }
 
 
@@ -106,8 +106,8 @@ def test_stream_keys_are_pinned(phase):
 # (h0, h1). The stream pins above hash only the tags they are given; these
 # fail when a phase draws from a stream under another tag.
 PINNED_PHASE_RESULTS = {
-    3: ((6.099307339674106, 22.384012688311678), (0.048, 0.747)),
-    2026: ((5.90415203577314, 25.745508804213866), (0.061, 0.747)),
+    3: ((5.966147721042138, 26.288380338966725), (0.058, 0.736)),
+    2026: ((6.072266149736082, 25.689306213588637), (0.046, 0.736)),
 }
 
 
@@ -613,12 +613,12 @@ def test_power_boundary_refuses_an_n_star_beyond_floats(N):
 
 
 # compare_edf(20, [300, 600], reps=1000) rows as (stein, ks, cvm, ad) powers
-# per n, recorded when the null sampler became Ulrich's transform
+# per n, recorded when the block streams became SFC64
 PINNED_COMPARE_ROWS = {
-    (3, True): ((0.298, 0.06, 0.087, 0.1), (0.441, 0.11, 0.121, 0.146)),
-    (3, False): ((0.322, 0.048, 0.045, 0.048), (0.48, 0.048, 0.033, 0.041)),
-    (2026, True): ((0.301, 0.064, 0.076, 0.099), (0.472, 0.092, 0.134, 0.164)),
-    (2026, False): ((0.312, 0.046, 0.05, 0.046), (0.472, 0.048, 0.049, 0.062)),
+    (3, True): ((0.287, 0.066, 0.08, 0.1), (0.432, 0.087, 0.129, 0.159)),
+    (3, False): ((0.31, 0.036, 0.048, 0.051), (0.443, 0.059, 0.05, 0.048)),
+    (2026, True): ((0.291, 0.095, 0.095, 0.113), (0.458, 0.086, 0.116, 0.145)),
+    (2026, False): ((0.314, 0.054, 0.052, 0.059), (0.45, 0.051, 0.05, 0.049)),
 }
 
 

@@ -165,6 +165,25 @@ def test_coefficients_match_orthonormal_recurrence(N):
     assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
 
 
+def test_folded_mode_weights_are_finite_or_raise():
+    # the basis folds the leading coefficient lambda_j of each monic row,
+    # about (N/4)^j / j!, into its mode weights: finite at N = 1e8 up to
+    # m = 30, and at N = 1e105 for m = 4, where no recurrence coefficient
+    # may overflow on the way; T matches the long-double recurrence
+    for N, m in ((1e8, 30), (1e105, 4)):
+        config = SteinTestConfig(N=N, m=m)
+        assert np.all(np.isfinite(config.basis.weights))
+        x = _null_matrix(N, 60, 8, 26)
+        ref = reference_coefficients(x, config)
+        t_ref = (ref * ref).sum(axis=0)
+        assert np.all(np.abs(batch_statistic(x, config) - t_ref) <= 1e-12 * t_ref)
+    # sigma_30 is finite up to N = 1.4e22, but weight 30 overflows from
+    # about 9e21: no config, so no test and no non-finite T
+    assert np.isfinite(JacobiBasis.build((1.2e22 - 3.0) / 2.0, 29).weights).all()
+    with pytest.raises(DomainError, match=r"^mode weight 30 at alpha=.* exceeds the float range$"):
+        SteinTestConfig(N=1.2e22, m=30)
+
+
 @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardised"])
 @pytest.mark.parametrize("N", [3.5, 5.0, 20.0, 1e4, 1e8])
 def test_mode_coefficients_match_symmetric_recurrence(N, standardized):
@@ -433,52 +452,52 @@ def test_rejection_rates_across_seeds():
 _PIN_SAMPLE = (np.arange(1, 200) * 61 % 199) / 199.0 * 1.8 - 0.9
 PINNED_RUN_TEST = {
     (5.0, True): (
-        ((14.189735243227267, 0.00016526963216558584), (20.406653862725936, 0.0004150480963088817),
-         (25.64639460948814, 0.028697147267254617)),
-        (3.766926498251229, 1.0495259317728365, -1.8585954748330609, -1.28881216589738,
-         0.8743360731064131, 1.2590637980149249, -0.23154907369739924, -1.084428159760006,
-         -0.20341379449217145, 0.8265812927372733, 0.47576950363297654, -0.5310852298001629,
-         -0.6096115029368475, 0.23619481713151352),
+        ((14.189735243227263, 0.00016526963216558584), (20.406653862725943, 0.0004150480963088802),
+         (25.646394609488148, 0.028697147267254558)),
+        (3.7669264982512285, 1.0495259317728383, -1.8585954748330618, -1.2888121658973815,
+         0.8743360731064151, 1.2590637980149235, -0.23154907369739777, -1.084428159760007,
+         -0.20341379449217192, 0.8265812927372739, 0.4757695036329769, -0.5310852298001644,
+         -0.6096115029368453, 0.2361948171315104),
     ),
     (5.0, False): (
-        ((14.641001030196826, 0.00013005411530523384), (20.35298069953071, 0.0004253161201021938),
-         (25.915623917341485, 0.026533501417621102)),
-        (3.826356103422266, 0.7416914136897286, -2.0206740310312825, -1.0386288925832003,
-         1.1241895170976057, 1.098532556947457, -0.538354006172564, -1.0346407686948522,
-         0.12064916873128019, 0.8940512537323542, 0.1769422668017046, -0.7066737644931346,
-         -0.37531354136025286, 0.4963066761886642),
+        ((14.641001030196824, 0.00013005411530523384), (20.35298069953072, 0.0004253161201021923),
+         (25.915623917341495, 0.026533501417621005)),
+        (3.8263561034222655, 0.7416914136897307, -2.0206740310312834, -1.0386288925832012,
+         1.1241895170976075, 1.0985325569474558, -0.5383540061725627, -1.0346407686948518,
+         0.12064916873127755, 0.8940512537323578, 0.17694226680170097, -0.7066737644931315,
+         -0.3753135413602562, 0.49630667618866764),
     ),
     (20.0, True): (
-        ((16.191679058633245, 5.724501543638813e-05), (30.264684211711373, 4.3231942361931415e-06),
+        ((16.191679058633245, 5.724501543638813e-05), (30.264684211711376, 4.323194236193134e-06),
          (45.18714884082415, 3.8036340855118165e-05)),
-        (4.023888549479626, -3.344620548306696, 0.7531194836849107, 1.5229345305090827,
-         -2.2718531419777177, 1.4670388264079584, 0.06644223442987775, -1.2888547022573067,
-         1.5446764846627392, -0.8431649894361753, -0.2634196195805989, 1.0738271785006144,
-         -1.1531365529878284, 0.5424138100927557),
+        (4.023888549479626, -3.344620548306697, 0.7531194836849119, 1.5229345305090818,
+         -2.2718531419777173, 1.4670388264079581, 0.0664422344298776, -1.2888547022573063,
+         1.544676484662738, -0.8431649894361741, -0.26341961958060023, 1.0738271785006162,
+         -1.1531365529878301, 0.542413810092757),
     ),
     (20.0, False): (
-        ((14.93629511150489, 0.00011120288956991003), (29.294335746029606, 6.81163799390545e-06),
-         (44.3221758319914, 5.252102683842487e-05)),
-        (3.864750329776154, -3.4157945095135203, 0.9781176388433626, 1.316690695602233,
-         -2.227209946051381, 1.6094883860939468, -0.16500778115891745, -1.1201221362099696,
-         1.5459250898188466, -1.0118305064398112, -0.03472950027267227, 0.9281894690510502,
-         -1.180358080277839, 0.7248099929722439),
+        ((14.936295111504887, 0.00011120288956991031), (29.29433574602961, 6.811637993905439e-06),
+         (44.32217583199138, 5.252102683842525e-05)),
+        (3.8647503297761534, -3.4157945095135216, 0.9781176388433642, 1.3166906956022304,
+         -2.2272099460513792, 1.6094883860939453, -0.16500778115891718, -1.1201221362099683,
+         1.5459250898188444, -1.0118305064398085, -0.03472950027267466, 0.9281894690510523,
+         -1.1803580802778415, 0.724809992972246),
     ),
     (1e4, True): (
-        ((11.950758463699698, 0.0005462513920793333), (32.68214347788581, 1.3875180780580304e-06),
-         (43.680390863594944, 6.664132454519816e-05)),
-        (3.45698690534108, -3.6057970447003678, 2.527344079656597, -1.158509641583081,
-         -0.06056114144408827, 0.9488088705940328, -1.466224226537342, 1.647146296967688,
-         -1.5605965281321055, 1.286530932430241, -0.9020297017738358, 0.47385447349025767,
-         -0.05509975022758166, -0.3155662588378829),
+        ((11.950758463699698, 0.0005462513920793333), (32.68214347788582, 1.3875180780580205e-06),
+         (43.68039086359497, 6.664132454519744e-05)),
+        (3.45698690534108, -3.6057970447003678, 2.527344079656599, -1.1585096415830822,
+         -0.06056114144408743, 0.9488088705940324, -1.4662242265373417, 1.6471462969676878,
+         -1.5605965281321061, 1.2865309324302425, -0.9020297017738379, 0.4738544734902604,
+         -0.05509975022758473, -0.3155662588378795),
     ),
     (1e4, False): (
-        ((10.749778735805297, 0.0010429178748052213), (31.982304356036124, 1.9290952842971986e-06),
-         (42.65791849763172, 9.715461884000478e-05)),
-        (3.2786855195040125, -3.565836060996296, 2.607139906362079, -1.3115488229507812,
-         0.11649990257320027, 0.7881836164463858, -1.3495419492202274, 1.5887272548996088,
-         -1.5633667027669103, 1.3446928311510127, -1.0039233875615052, 0.6046136420194169,
-         -0.1988965427021891, -0.17377232667634537),
+        ((10.749778735805302, 0.0010429178748052191), (31.982304356036153, 1.929095284297171e-06),
+         (42.65791849763178, 9.715461884000266e-05)),
+        (3.2786855195040134, -3.565836060996297, 2.607139906362081, -1.3115488229507835,
+         0.11649990257320192, 0.7881836164463849, -1.3495419492202274, 1.58872725489961,
+         -1.5633667027669125, 1.3446928311510156, -1.0039233875615083, 0.6046136420194205,
+         -0.19889654270219267, -0.1737723266763419),
     ),
 }
 
