@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from finiten import cli
+
 MANIFEST = Path(__file__).with_name("cli_manifest.json")
 
 # `test` commands read this sample on stdin: 300 points in (-1.6, 1.6),
@@ -65,8 +67,6 @@ def sha256(text: str) -> str:
 
 def run(command: str) -> dict:
     """The sha256 of stdout and stderr and the exit code of one command."""
-    from finiten import cli
-
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(STDIN.encode("utf-8")), encoding="utf-8")
