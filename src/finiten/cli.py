@@ -21,8 +21,8 @@ import sys
 
 from . import harness
 from .distribution import FiniteNLaw
-from .errors import FiniteNError, check_int, check_seed
-from .jacobi import JacobiBasis
+from .errors import FiniteNError, check_int, check_N, check_seed
+from .jacobi import _norms
 from .stein_test import SteinTestConfig, run_test
 
 __all__ = ["main", "build_parser"]
@@ -267,12 +267,14 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_sigma_table(args) -> int:
-    basis = JacobiBasis.for_system(args.N, args.m)
-    sigmas = {k: float(basis.sigmas[k - 1]) for k in range(1, args.m + 1)}
+    # the norms alone: the basis's mode weights can overflow where every sigma_k is finite
+    alpha = (check_N(args.N) - 3.0) / 2.0
+    norms = _norms(alpha, check_int(args.m, "max_order", 1))
+    sigmas = {k: sigma for k, (sigma, _) in enumerate(norms, 1)}
     csv_text = _csv_text(["k,sigma", *(f"{k},{s:.10g}" for k, s in sigmas.items())])
     with _open_output(args.output) as out:
         # json.dumps writes the int keys of sigmas as strings
-        out.write(_table_text(args, csv_text, {"N": args.N, "alpha": basis.alpha, "sigma": sigmas}))
+        out.write(_table_text(args, csv_text, {"N": args.N, "alpha": alpha, "sigma": sigmas}))
     return 0
 
 

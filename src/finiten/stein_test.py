@@ -51,6 +51,9 @@ __all__ = [
     "run_test",
 ]
 
+# Why a sample is refused when the recurrence overflows on its squares.
+_T_NOT_FINITE = "sample values are too large: the statistic T is not finite"
+
 
 def even_modes(m: int) -> tuple[int, ...]:
     """Default mode set for truncation order m: even integers 4..m."""
@@ -252,17 +255,27 @@ def _mode_coefficients(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarr
     return mu
 
 
+def _sample_coefficients(values, config: SteinTestConfig) -> np.ndarray:
+    """mu_k of one checked 1-D sample, in mode order; a coefficient whose
+    recurrence overflows is left inf or nan, without a warning."""
+    x = check_finite(values, "sample values")
+    if x.ndim != 1 or x.size < 1:
+        raise DomainError("coefficients expects a nonempty 1-D sample")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mode_coefficients(x[None, :], config, Workspace())[:, 0]
+
+
 def coefficients(values, config: SteinTestConfig) -> dict[int, float]:
     """Empirical mode coefficients mu_k = n^(-1/2) sum_i psi_k(x_i/sqrt(N)).
 
     The sample is used as given; callers own any location/scale
-    alignment (see :func:`run_test`).
+    alignment (see :func:`run_test`). Raises DomainError if a coefficient
+    is not finite, as for a sample whose squares overflow.
     """
-    x = check_finite(values, "sample values")
-    if x.ndim != 1 or x.size < 1:
-        raise DomainError("coefficients expects a nonempty 1-D sample")
-    mu = _mode_coefficients(x[None, :], config, Workspace())
-    return dict(zip(config.modes, mu[:, 0].tolist()))
+    mu = _sample_coefficients(values, config)
+    if not np.isfinite(mu).all():
+        raise DomainError("sample values are too large: a mode coefficient is not finite")
+    return dict(zip(config.modes, mu.tolist()))
 
 
 def _running_statistics(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarray:
@@ -283,12 +296,17 @@ def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     """T = sum of mu_k^2 over the modes, for every row of a (reps, n) matrix.
 
     Rows are used as given; pass them through :func:`standardize` first to
-    test them as :func:`run_test` does.
+    test them as :func:`run_test` does. Raises DomainError if any row's T
+    is not finite, as for a row whose squares overflow.
     """
     x = check_finite(samples, "sample values")
     if x.ndim != 2 or x.shape[1] < 1:
         raise DomainError("samples must be a (reps, n) matrix with n >= 1")
-    return _running_statistics(x, config, Workspace())[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _running_statistics(x, config, Workspace())[-1]
+    if not np.isfinite(t).all():
+        raise DomainError(_T_NOT_FINITE)
+    return t
 
 
 def run_test(
@@ -329,11 +347,11 @@ def run_test(
     if standardize_first:
         _check_standardizable(config)
         x = standardize(values)
+    mu = _sample_coefficients(x, config)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T raises DomainError
-        coef = coefficients(x, config)
-        mu = np.fromiter(coef.values(), float)
         t = float(np.cumsum(mu * mu, axis=0)[-1])
     if not math.isfinite(t):
-        raise DomainError("sample values are too large: the statistic T is not finite")
+        raise DomainError(_T_NOT_FINITE)
     return TestReport(statistic=t, dof=config.dof, cutoff=cutoff,
-                      p_value=_chi2_sf(config.dof, t), reject=bool(t > cutoff), coefficients=coef)
+                      p_value=_chi2_sf(config.dof, t), reject=bool(t > cutoff),
+                      coefficients=dict(zip(config.modes, mu.tolist())))

@@ -56,7 +56,7 @@ COMMANDS = (
 
 
 def environment() -> dict:
-    """What the bytes depend on besides the code: SIMD `cos` or `expm1` may
+    """What the bytes depend on besides the code: SIMD `tan`, `log` or `expm1` may
     differ by an ulp on another numpy or CPU."""
     return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system()}
 

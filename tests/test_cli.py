@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from finiten import FiniteNLaw, cli, harness
+from finiten.jacobi import JacobiBasis
 from finiten.stein_test import SteinTestConfig, run_test
 
 SIGMA_TABLE_N5 = {
@@ -191,6 +192,30 @@ def test_sigma_table_matches_reference_values():
         assert abs(float(sigma) - SIGMA_TABLE_N5[int(k)]) <= 5e-5
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_sigma_table_needs_only_the_norms():
+    # every sigma_k is finite at N = 1.2e22, m = 30, though the folded
+    # weight of mode 30 is not (see the mode-weight test below)
+    result = run_cli("sigma-table", "--N", "1.2e22", "--m", "30")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    lines = result.stdout.strip().split("\n")
+    assert lines[0] == "k,sigma" and len(lines) == 31
+    assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+    result = run_cli("sigma-table", "--N", "1e8", "--m", "30", "--format", "json")
+    assert result.returncode == 0
+    sigmas = json.loads(result.stdout)["sigma"]
+    assert [sigmas[str(k)] for k in range(1, 31)] == JacobiBasis.for_system(1e8, 30).sigmas.tolist()
+
+
+def test_sigma_table_reports_sigma_overflow_in_one_line():
+    result = run_cli("sigma-table", "--N", "1e300", "--m", "30")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "finiten: error: sigma_3 at alpha=5e+299 exceeds the float range"
+    ]
 
 
 def test_dist_queries():

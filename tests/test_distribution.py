@@ -7,6 +7,7 @@ from scipy import integrate, optimize, special, stats
 from finiten import FiniteNLaw
 from finiten.distribution import _CLOSED_FORM_MAX_N, _TAIL
 from finiten.errors import ConfigError, DomainError
+from finiten.workspace import Workspace
 from operator_reference import log_typical_ratio_per_obs
 
 # mpmath references (40 digits)
@@ -278,12 +279,19 @@ def test_sample_matches_cdf_and_even_moments(N):
         assert abs(np.mean(x ** (2 * k)) - moment) < 4.0 * se
 
 
+def ulrich_radius(N, u):
+    """sqrt(1 - U^(2/(N-2))) with U = 1 - u, as the sampler computes it."""
+    return np.sqrt(-np.expm1(np.log(1.0 - u) * (2.0 / (N - 2.0))))
+
+
 def ulrich_reference(N, n, rng):
     """Ulrich's transform on one (n, 2) array of uniforms, with the sampler's
-    operations in the sampler's order."""
+    operations in the sampler's order: sqrt(N) cos(2 pi V) as
+    2 sqrt(N) / (1 + tan^2(pi V)) - sqrt(N)."""
     pairs = rng.random((n, 2))
-    radius = np.sqrt(-np.expm1(np.log(1.0 - pairs[:, 0]) * (2.0 / (N - 2.0))))
-    return radius * np.cos(pairs[:, 1] * (2.0 * math.pi)) * math.sqrt(N)
+    root = math.sqrt(N)
+    angle = 2.0 * root / (1.0 + np.tan(pairs[:, 1] * math.pi) ** 2) - root
+    return ulrich_radius(N, pairs[:, 0]) * angle
 
 
 @pytest.mark.filterwarnings("error")
@@ -300,6 +308,45 @@ def test_sample_is_a_prefix_of_longer_draws(k):
     assert np.array_equal(law.sample(k, rng), longer[:k])
     # draw i took uniforms 2i and 2i + 1 of the stream, and no others
     assert rng.random() == stream().random(2 * k + 1)[-1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [3.5, 5, 20, 20.5, 1e8])
+def test_sample_agrees_with_the_cosine_form(N):
+    law = FiniteNLaw(N)
+
+    def stream():
+        return np.random.Generator(np.random.SFC64(31))
+
+    x = law.sample(200_000, stream())
+    pairs = stream().random((x.size, 2))
+    cosine = math.sqrt(N) * ulrich_radius(N, pairs[:, 0]) * np.cos(2.0 * math.pi * pairs[:, 1])
+    assert np.max(np.abs(x - cosine)) <= 2e-15 * math.sqrt(N)
+    assert np.max(np.abs(x)) <= law.support_bound
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [3.5, 5, 1e8])
+def test_sample_angle_at_the_ends_of_its_range(N):
+    # pi V reaches fl(pi/2), where tan is 1.6e16 and its square still finite
+    v = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0**-53])
+
+    class Stub:
+        def random(self, out):
+            out[:, 0] = 0.3
+            out[:, 1] = v
+            return out
+
+    law = FiniteNLaw(N)
+    x = np.empty(v.size)
+    law._sample_into(x, Stub(), Workspace())
+    assert np.all(np.isfinite(x))
+    radius = float(ulrich_radius(N, np.array([0.3]))[0])
+    assert x[0] == radius * law.support_bound
+    assert x[2] == -radius * law.support_bound
+    assert abs(x[1]) <= 1e-15 * law.support_bound
+    assert np.allclose(x[3:5], -radius * law.support_bound, rtol=1e-15, atol=0.0)
+    assert np.isclose(x[5], radius * law.support_bound, rtol=1e-15, atol=0.0)
 
 
 def test_gaussian_alternative():

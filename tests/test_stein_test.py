@@ -384,6 +384,25 @@ def test_run_test_refuses_a_sample_that_overflows(values, m, standardize_first):
         run_test(values, SteinTestConfig(N=5, m=m), standardize_first=standardize_first)
 
 
+@pytest.mark.parametrize("values, m, coefficient_overflows", [
+    ([0.1, -0.4, 1e160, 0.7, -1.1], 6, True),
+    ([0.1, -1e40, 1e40, 0.7, -1.1], 10, True),
+    ([0.1, -1e40, 1e40, 0.7, -1.1], 4, False),
+], ids=["nan-T", "infinite-T", "infinite-T-one-dof"])
+def test_coefficients_and_batch_statistic_refuse_a_sample_that_overflows(
+        values, m, coefficient_overflows):
+    # as above, no RuntimeWarning may escape either call
+    config = SteinTestConfig(N=5, m=m)
+    if coefficient_overflows:
+        with pytest.raises(DomainError, match="a mode coefficient is not finite"):
+            coefficients(values, config)
+    else:  # mu_4 is about 1e160; only its square overflows
+        assert all(math.isfinite(mu) for mu in coefficients(values, config).values())
+    good = FiniteNLaw(5).sample(len(values), 3)
+    with pytest.raises(DomainError, match="T is not finite"):
+        batch_statistic(np.array([good, values]), config)
+
+
 def test_standardised_test_is_invariant_under_powers_of_two():
     # standardize scales each sample by the power of two at its largest
     # magnitude first, so x and x * 2^k give the same bits wherever x * 2^k
