@@ -174,10 +174,10 @@ class FiniteNLaw:
         26.7.3-26.7.4 (see :meth:`_closed_form_cdf`), within 5e-15 of the
         incomplete Beta function. Where it gives less than 1e-3 or more
         than 1 - 1e-3, the point is recomputed with the positive-term
-        series of :meth:`_lower_tail_cdf`, F(x) in the lower tail and
-        1 - F(-x) in the upper, so the lower tail keeps its relative
-        precision and both tails are monotone. Other N use the incomplete
-        Beta function throughout. cdf(0) is exactly 0.5 either way.
+        series of :meth:`_lower_tail_cdf`, one call at -|x| for both tails:
+        F(x) in the lower and 1 - F(-x) in the upper, so the lower tail keeps
+        its relative precision and both tails are monotone. Other N use the
+        incomplete Beta function throughout. cdf(0) is exactly 0.5 either way.
         """
         out = self._cdf(check_finite(x, "evaluation points"), Workspace())
         if np.isscalar(x) or np.ndim(x) == 0:
@@ -187,19 +187,18 @@ class FiniteNLaw:
     def _cdf(self, arr: np.ndarray, work) -> np.ndarray:
         """:meth:`cdf` of a finite float array, with no checks. The closed
         form writes into buffers 0 to 2 of ``work``, a :class:`Workspace`,
-        and returns buffer 0."""
+        and returns buffer 0. Both tails are one series call at -|x|: F(0)
+        is exactly 1/2, so a lower-tail point has x < 0 and an upper-tail
+        one x > 0, and a point's sum stops changing once its terms fall
+        below _SERIES_STOP, so it does not depend on the other points."""
         if self.N.is_integer() and self.N <= _CLOSED_FORM_MAX_N:
             out = self._closed_form_cdf(arr, work)
-            lower = out < _TAIL
-            upper = out > 1.0 - _TAIL
-            if lower.any() or upper.any():
-                # One series over both tails: a point's sum stops changing
-                # once its terms fall below _SERIES_STOP, so it does not
-                # depend on the other points of the call.
-                tails = self._lower_tail_cdf(np.concatenate((arr[lower], -arr[upper])))
-                split = np.count_nonzero(lower)
-                out[lower] = tails[:split]
-                out[upper] = 1.0 - tails[split:]
+            flat = out.reshape(-1)
+            tails = np.flatnonzero((flat < _TAIL) | (flat > 1.0 - _TAIL))
+            if tails.size:
+                x = arr.reshape(-1)[tails]
+                t = self._lower_tail_cdf(-np.abs(x))
+                flat[tails] = np.where(x < 0.0, t, 1.0 - t)
             return out
         from scipy.special import betainc
         z = np.clip((1.0 + arr / self.support_bound) / 2.0, 0.0, 1.0)

@@ -90,8 +90,10 @@ COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 # Replications per stream block; part of the determinism contract.
 BLOCK = 512
 # Float64 elements per tile of draws (512 KB): a block is drawn and reduced
-# in whole-row tiles of max(1, TILE // n) rows, which stay in cache through
-# every pass of the kernels. It changes no result, only speed and memory.
+# in whole-row tiles of max(1, TILE // n) rows. The size balances per-tile
+# call costs against cache: a compare unit keeps the tile and four Workspace
+# buffers of its size live, more than a 2 MB L2, yet smaller tiles ran
+# slower. It changes no result, only speed and memory.
 TILE = 65_536
 MIN_CALIB_REPS = 1000
 
@@ -370,20 +372,40 @@ def _run_units(fn, units, workers, n_of):
     on a pool of at most ``workers`` processes, never more than there are
     units, which gets the units largest ``n_of(unit)`` first (ties in unit
     order), so the longest start first. Units share nothing, so the
-    results are the same for any worker count. Forked workers (the
-    default start method on Linux) share what this process imported.
+    results are the same for any worker count. If the caller stops early,
+    or an interrupt or a lost worker ends the wait, the queued units are
+    cancelled and only those in flight finish. Workers ignore SIGINT, so a
+    Ctrl-C to the whole process group reaches only this process: a worker
+    interrupted inside the pool's result queue can leave another blocked on
+    the queue's lock, and the shutdown then waits forever (once in about 30
+    group-wide SIGINTs to a 2-worker grid on CPython 3.11).
+
+    On Linux the pool forks, so its workers share what this process
+    imported. Any other start method (the platform's default elsewhere;
+    CPython 3.14 makes ``forkserver`` Linux's default) has every worker
+    import numpy and finiten again, and :func:`compare_edf`'s SciPy preload
+    no longer reaches the workers. No Python 3.12 or later ran this code.
     """
     workers = min(check_int(workers, "workers", 1), len(units))
     if workers <= 1:
         yield from map(fn, units)
         return
+    import multiprocessing
+    import signal
+    import sys
     from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        by_size = sorted(range(len(units)), key=lambda i: -n_of(units[i]))
-        futures = {i: pool.submit(fn, units[i]) for i in by_size}
-        for i in range(len(units)):
-            yield futures[i].result()
+    context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        try:
+            by_size = sorted(range(len(units)), key=lambda i: -n_of(units[i]))
+            futures = {i: pool.submit(fn, units[i]) for i in by_size}
+            for i in range(len(units)):
+                yield futures[i].result()
+        except BaseException:  # GeneratorExit included: no queued unit runs
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
 
 
 # ----------------------------------------------------------------------

@@ -57,8 +57,11 @@ COMMANDS = (
 
 def environment() -> dict:
     """What the bytes depend on besides the code: SIMD `tan`, `log` or `expm1` may
-    differ by an ulp on another numpy or CPU."""
-    return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system()}
+    differ by an ulp on another numpy, CPU or set of SIMD targets numpy dispatches
+    to (which ``NPY_DISABLE_CPU_FEATURES`` narrows)."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system(),
+            "simd": simd}
 
 
 def sha256(text: str) -> str:

@@ -2,8 +2,10 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -374,6 +376,40 @@ def test_grid_reports_progress_per_cell_on_stderr():
         "cell 1/2 (N=5, n=10, m=4) done",
         "cell 2/2 (N=5, n=20, m=4) done",
     ]
+
+
+@pytest.mark.parametrize("to_group", [False, True], ids=["process", "group"])
+def test_interrupted_pooled_grid_stops_at_the_units_in_flight(to_group):
+    # 64 (N, n) units on 2 workers, interrupted once the first cell is in:
+    # running the queue would then take about 31 more units per worker
+    N_values = list(range(5, 69))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "finiten", "grid", "--N-values", ",".join(map(str, N_values)),
+         "--n-values", "300", "--m-values", "4", "--calib-reps", "5000",
+         "--eval-reps", "2500", "--seed", "3", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        started = time.perf_counter()
+        assert child.stderr.readline().startswith("cell 1/64 ")
+        signalled = time.perf_counter()
+        if to_group:
+            os.killpg(child.pid, signal.SIGINT)
+        else:
+            child.send_signal(signal.SIGINT)
+        stdout, _ = child.communicate(timeout=120)
+        stopping = time.perf_counter() - signalled
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+    assert stopping < 2.0 * (signalled - started)
+    assert child.returncode == 0
+    lines = stdout.splitlines()
+    assert lines[-1] == "# complete=false"
+    rows = [line.split(",")[:3] for line in lines[1:-1]]
+    assert 4 <= len(rows) < 4 * len(N_values) and len(rows) % 4 == 0
+    assert rows == [[str(N), "300", "4"] for N in N_values[:len(rows) // 4] for _ in range(4)]
 
 
 def test_grid_rejects_duplicate_m_values_before_running():

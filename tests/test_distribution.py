@@ -151,7 +151,7 @@ def test_cdf_tails_are_monotone_on_a_fine_grid():
             assert np.all(np.diff(law.cdf(grid)) >= 0.0), N
 
 
-@pytest.mark.parametrize("N", [5, 20, 20.5])
+@pytest.mark.parametrize("N", [5, 20, 20.5, _CLOSED_FORM_MAX_N])
 def test_cdf_scalar_and_array_inputs_agree(N):
     law = FiniteNLaw(N)
     x = np.sort(law.sample(6 * 50, 17).reshape(6, 50), axis=-1)

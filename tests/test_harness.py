@@ -420,7 +420,7 @@ class _InlinePool:
     """Stands in for ProcessPoolExecutor: runs each submitted pair at once,
     in this process, and forks nothing."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         pass
 
     def __enter__(self):
@@ -428,6 +428,9 @@ class _InlinePool:
 
     def __exit__(self, *exc):
         return False
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, item):
         future = Future()
@@ -458,7 +461,7 @@ def test_run_grid_clamps_pool_to_cell_count(monkeypatch):
     pool_sizes = []
 
     class InProcessPool(_InlinePool):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             pool_sizes.append(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -475,7 +478,7 @@ def test_run_grid_keeps_finished_pairs_when_a_worker_dies(monkeypatch):
         """Gives the first result asked for, then fails as a pool whose
         worker the OOM killer ended."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             self.delivered = False
 
         def submit(self, fn, item):
@@ -514,7 +517,7 @@ def test_compare_edf_clamps_pool_to_unit_count(monkeypatch):
     pool_sizes = []
 
     class InProcessPool(_InlinePool):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             pool_sizes.append(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -542,7 +545,7 @@ def test_compare_edf_raises_when_a_worker_dies(monkeypatch):
     # unlike a grid, a comparison has no partial result: a lost worker
     # after the first unit still gives no rows
     class DyingPool(_InlinePool):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             self.submitted = 0
 
         def submit(self, fn, item):
