@@ -91,9 +91,10 @@ COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 BLOCK = 512
 # Float64 elements per tile of draws (512 KB): a block is drawn and reduced
 # in whole-row tiles of max(1, TILE // n) rows. The size balances per-tile
-# call costs against cache: a compare unit keeps the tile and four Workspace
-# buffers of its size live, more than a 2 MB L2, yet smaller tiles ran
-# slower. It changes no result, only speed and memory.
+# call costs against cache: a compare unit keeps the tile and four or more
+# Workspace buffers of its size live (2.5 MB or more, beyond a 2 MB L2), yet
+# serial runs at a half or a quarter of it were no faster for a grid and
+# slower for a compare. It changes no result, only speed and memory.
 TILE = 65_536
 MIN_CALIB_REPS = 1000
 
@@ -374,11 +375,12 @@ def _run_units(fn, units, workers, n_of):
     order), so the longest start first. Units share nothing, so the
     results are the same for any worker count. If the caller stops early,
     or an interrupt or a lost worker ends the wait, the queued units are
-    cancelled and only those in flight finish. Workers ignore SIGINT, so a
+    cancelled; those in flight, or already in the pool's call queue (one
+    more than the workers), still run. Workers ignore SIGINT, so a
     Ctrl-C to the whole process group reaches only this process: a worker
     interrupted inside the pool's result queue can leave another blocked on
-    the queue's lock, and the shutdown then waits forever (once in about 30
-    group-wide SIGINTs to a 2-worker grid on CPython 3.11).
+    the queue's lock, and the shutdown then waits forever (2 of 126
+    group-wide SIGINTs to a 2-worker grid hung so on CPython 3.11).
 
     On Linux the pool forks, so its workers share what this process
     imported. Any other start method (the platform's default elsewhere;
