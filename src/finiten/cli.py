@@ -3,7 +3,8 @@ testing, calibration, simulation grids, power tables, and the EDF
 comparison.
 
 Exit status is 0 on success, 1 when --fail-on-reject is set and the test
-rejects, and 2 for usage or input errors. Every subcommand is
+rejects, 2 for usage or input errors, and 130 when interrupted (an
+interrupted grid exits 0 with the prefix it finished). Every subcommand is
 deterministic under --seed; when the seed is omitted one is drawn from
 entropy and echoed to standard error.
 """
@@ -21,7 +22,7 @@ import sys
 
 from . import harness
 from .distribution import FiniteNLaw
-from .errors import FiniteNError, check_int, check_N, check_seed
+from .errors import FiniteNError, check_int, check_seed
 from .jacobi import _norms
 from .stein_test import SteinTestConfig, run_test
 
@@ -44,6 +45,11 @@ def _comma_list(kind, noun: str, text: str) -> list:
 
 _float_list = functools.partial(_comma_list, float, "numbers")
 _int_list = functools.partial(_comma_list, int, "integers")
+
+
+def _modes_list(text: str) -> list[int] | None:
+    """--modes: a comma list of integers, or 'even' (None) for {4, 6, .., m}."""
+    return None if text == "even" else _int_list(text)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -97,15 +103,6 @@ def _read_numbers(path: str) -> list[float]:
     return values
 
 
-def _modes_argument(text: str) -> tuple[int, ...] | None:
-    if text == "even":
-        return None  # SteinTestConfig default
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise FiniteNError(f"invalid mode list: {text!r}")
-
-
 def _tail(p, func) -> None:
     """Close a subparser with the options every subcommand shares, and bind
     its handler. Added last, so they are listed last in --help."""
@@ -142,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="path of whitespace-separated numbers, or - for stdin")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--modes", default="even", help="comma list of modes, or 'even' for {4,6,..,m}")
+    p.add_argument("--modes", type=_modes_list, default=None,
+                   help="comma list of modes, or 'even' for {4,6,..,m}")
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--cutoff", default="theoretical",
                    help="'theoretical', 'calibrated', or an explicit numeric value")
@@ -170,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--modes", default="even")
+    p.add_argument("--modes", type=_modes_list, default=None)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=reference.calib_reps)
     p.add_argument("--seed", type=int, default=None)
@@ -236,7 +234,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_test(args) -> int:
     values = _read_numbers(args.input)
-    config = SteinTestConfig(N=args.N, m=args.m, modes=_modes_argument(args.modes), level=args.level)
+    config = SteinTestConfig(N=args.N, m=args.m, modes=args.modes, level=args.level)
     calibrated = args.cutoff == "calibrated"
     cutoff = None  # the chi-squared cutoff
     if calibrated:
@@ -268,7 +266,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_sigma_table(args) -> int:
     # the norms alone: the basis's mode weights can overflow where every sigma_k is finite
-    alpha = (check_N(args.N) - 3.0) / 2.0
+    alpha = FiniteNLaw(args.N).alpha
     norms = _norms(alpha, check_int(args.m, "max_order", 1))
     sigmas = {k: sigma for k, (sigma, _) in enumerate(norms, 1)}
     csv_text = _csv_text(["k,sigma", *(f"{k},{s:.10g}" for k, s in sigmas.items())])
@@ -298,7 +296,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = SteinTestConfig(N=args.N, m=args.m, modes=_modes_argument(args.modes), level=args.level)
+    config = SteinTestConfig(N=args.N, m=args.m, modes=args.modes, level=args.level)
     harness.check_calibration(args.n, config, args.reps, args.standardize)
     seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:
@@ -393,6 +391,9 @@ def main(argv=None) -> int:
     except (FiniteNError, OSError) as exc:
         print(f"finiten: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # a grid keeps its prefix; nothing else has a partial result
+        print("finiten: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -76,6 +76,17 @@ def check_cutoff(cutoff) -> float:
     return value
 
 
+def check_values(values, what: str, check, distinct: bool = True) -> tuple:
+    """A list-valued input as a tuple of check(v), one call per value;
+    ConfigError if it is empty or, when distinct, holds a checked value twice."""
+    checked = tuple(map(check, values))
+    if not checked:
+        raise ConfigError(f"{what} must be nonempty")
+    if distinct and len(set(checked)) != len(checked):
+        raise ConfigError(f"{what} has duplicate values: {checked}")
+    return checked
+
+
 def check_finite(values, what: str) -> np.ndarray:
     """values as a float array; DomainError if any entry is nan or infinite."""
     try:

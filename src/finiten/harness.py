@@ -44,6 +44,7 @@ from .distribution import FiniteNLaw
 from .edf import _edf_statistics
 from .errors import (
     ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_seed,
+    check_values,
 )
 from .stein_test import (
     SteinTestConfig, _check_standardizable, _running_statistics, _standardize,
@@ -209,18 +210,12 @@ class GridSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (self.N_values and self.n_values and self.m_values):
-            raise ConfigError("N_values, n_values and m_values must be nonempty")
-        axes = {
-            "N_values": tuple(check_N(N) for N in self.N_values),
-            "n_values": tuple(check_int(n, "sample size", 1) for n in self.n_values),
-            "m_values": tuple(check_int(m, "truncation order", 4) for m in self.m_values),
-        }
-        for name, values in axes.items():
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} has duplicate values: {values}")
         checked = {
-            **axes,
+            "N_values": check_values(self.N_values, "N_values", check_N),
+            "n_values": check_values(self.n_values, "n_values",
+                                     lambda n: check_int(n, "sample size", 1)),
+            "m_values": check_values(self.m_values, "m_values",
+                                     lambda m: check_int(m, "truncation order", 4)),
             "level": check_level(self.level),
             "calib_reps": check_int(self.calib_reps, "calib_reps", MIN_CALIB_REPS),
             "eval_reps": check_int(self.eval_reps, "eval_reps", 1),
@@ -477,21 +472,15 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
 # Deterministic tables
 # ----------------------------------------------------------------------
 
-def _nonempty(name: str, values) -> tuple:
-    values = tuple(values)
-    if not values:
-        raise ConfigError(f"{name} must be nonempty")
-    return values
-
-
 def sanov_table(N_values, n_values) -> np.ndarray:
     """Large-deviation power proxy 1 - exp(-n * KL) on the cross product.
 
     Rows follow N_values, columns follow n_values; fully deterministic.
     Either axis empty raises ConfigError.
     """
-    N_values, n_values = _nonempty("N_values", N_values), _nonempty("n_values", n_values)
-    laws = [FiniteNLaw(N) for N in N_values]
+    laws = check_values(N_values, "N_values", FiniteNLaw, distinct=False)
+    # sanov_power_proxy checks each n
+    n_values = check_values(n_values, "n_values", lambda n: n, distinct=False)
     return np.array([[law.sanov_power_proxy(n) for n in n_values] for law in laws])
 
 
@@ -503,12 +492,12 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
     if not 0.0 < target < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
     out = []
-    for N in _nonempty("N_values", N_values):
-        kl = FiniteNLaw(N).kl_to_gaussian()
+    for law in check_values(N_values, "N_values", FiniteNLaw, distinct=False):
+        kl = law.kl_to_gaussian()
         n_star = -math.log1p(-target) / kl if kl > 0.0 else math.inf
         if not math.isfinite(n_star):
-            raise DomainError(f"n_star at N={float(N)!r} exceeds the float range")
-        out.append((float(N), max(1, math.ceil(n_star))))
+            raise DomainError(f"n_star at N={law.N!r} exceeds the float range")
+        out.append((law.N, max(1, math.ceil(n_star))))
     return out
 
 
@@ -529,9 +518,8 @@ def check_compare(N: float, n_values, m: int, reps: int, level: float):
     seed: its config, reps, and a nonempty set of distinct sample sizes n >= 2."""
     config = SteinTestConfig(N=N, m=m, level=level)
     reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
-    n_values = _nonempty("n_values", (check_int(n, "comparison sample size", 2) for n in n_values))
-    if len(set(n_values)) != len(n_values):
-        raise ConfigError(f"n_values has duplicate values: {n_values}")
+    n_values = check_values(n_values, "n_values",
+                            lambda n: check_int(n, "comparison sample size", 2))
     return config, n_values, reps
 
 

@@ -37,6 +37,7 @@ from .errors import (
     check_finite,
     check_int,
     check_level,
+    check_values,
 )
 from .jacobi import JacobiBasis, jacobi_rows
 from .workspace import Workspace
@@ -158,11 +159,7 @@ class SteinTestConfig:
         if self.modes is None:
             object.__setattr__(self, "modes", even_modes(self.m))
         else:
-            modes = tuple(check_int(k, "mode", 1) for k in self.modes)
-            if not modes:
-                raise ConfigError("mode set must be nonempty")
-            if len(set(modes)) != len(modes):
-                raise ConfigError(f"mode set has duplicates: {modes}")
+            modes = check_values(self.modes, "mode set", lambda k: check_int(k, "mode", 1))
             if any(k > self.m for k in modes):
                 raise ConfigError(f"modes must lie in 1..{self.m}, got {modes}")
             object.__setattr__(self, "modes", modes)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -718,20 +719,57 @@ def test_grid_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
         assert out.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["sanov", "--n", ","], "n_values must be nonempty"),
-    (["sanov", "--N", ","], "N_values must be nonempty"),
-    (["boundary", "--N-values", ","], "N_values must be nonempty"),
-    (["dist", "--N", "5", "--x", ","], "--x and --p must be nonempty"),
-    (["dist", "--N", "5", "--x", "0.5", "--p", ","], "--x and --p must be nonempty"),
-], ids=["sanov-n", "sanov-N", "boundary", "dist-x", "dist-p"])
-def test_table_commands_refuse_empty_lists(argv, message, tmp_path, capsys):
+# Each row exits 2 with one stderr line and writes nothing; standard input
+# holds only whitespace.
+@pytest.mark.parametrize("argv, stderr", [
+    (["sanov", "--n", ","], "finiten: error: n_values must be nonempty"),
+    (["sanov", "--N", ","], "finiten: error: N_values must be nonempty"),
+    (["boundary", "--N-values", ","], "finiten: error: N_values must be nonempty"),
+    (["dist", "--N", "5", "--x", ","], "finiten: error: --x and --p must be nonempty"),
+    (["dist", "--N", "5", "--x", "0.5", "--p", ","],
+     "finiten: error: --x and --p must be nonempty"),
+    (["test", "--N", "5"], "finiten: error: input contains no numbers"),
+    # refused while parsing, before the missing file is opened
+    (["test", "--N", "5", "--modes", "4,x", "--input", "/nonexistent"],
+     "finiten test: error: argument --modes: expected a comma list of integers, got '4,x'"),
+    (["calibrate", "--N", "5", "--n", "100", "--modes", "4,4"],
+     "finiten: error: mode set has duplicate values: (4, 4)"),
+], ids=["sanov-n", "sanov-N", "boundary", "dist-x", "dist-p", "test-blank-input",
+        "test-modes-parsed-first", "calibrate-repeated-mode"])
+def test_table_commands_refuse_empty_lists(argv, stderr, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b" \n\t \n")))
     out = tmp_path / "out.csv"
-    assert cli.main([*argv, "--output", str(out)]) == 2
+    try:
+        code = cli.main([*argv, "--output", str(out)])
+    except SystemExit as exc:  # argparse refuses an option value
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"finiten: error: {message}\n"
+    assert captured.err == stderr + "\n"
     assert not out.exists()
+
+
+def test_interrupted_commands_exit_130_in_one_line(tmp_path, monkeypatch, capsys):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    data = tmp_path / "data.txt"
+    data.write_text("\n".join(map(repr, FiniteNLaw(5).sample(100, 3).tolist())))
+    for target, argv in (
+        ("compare_edf", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000"]),
+        ("calibrate", ["calibrate", "--N", "5", "--n", "100", "--reps", "1000"]),
+        ("calibrate", ["test", "--N", "5", "--input", str(data), "--cutoff", "calibrated"]),
+    ):
+        monkeypatch.setattr(harness, target, interrupt)
+        try:
+            code = cli.main([*argv, "--seed", "1"])
+        except KeyboardInterrupt:  # fail this test, not the whole session
+            pytest.fail(f"{argv[0]}: the interrupt escaped cli.main")
+        assert code == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "finiten: interrupted\n"
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,13 +4,18 @@ import inspect
 import math
 import pathlib
 import pkgutil
+import re
 
+import numpy as np
 import pytest
 
 import finiten
 from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig
 from finiten.errors import ConfigError, DomainError
-from finiten.harness import calibrate, compare_edf, estimate_rejection, run_grid
+from finiten.harness import (
+    calibrate, check_compare, compare_edf, estimate_rejection, power_boundary, run_grid,
+    sanov_table,
+)
 from operator_reference import jacobi_eval_all, jacobi_psi
 
 # an integer too large for a float
@@ -29,6 +34,35 @@ N_ENTRY_POINTS = {
 def test_every_N_entry_point_raises_domain_error(entry, N):
     with pytest.raises(DomainError, match="N must be a finite real > 3"):
         N_ENTRY_POINTS[entry](N)
+
+
+# every caller of check_values: the call on a list, a list with a repeat,
+# the name the messages give, and whether a repeat is refused
+LIST_ENTRY_POINTS = {
+    "GridSpec.N_values": (lambda v: GridSpec(N_values=v), (5.0, 5.0), "N_values", True),
+    "GridSpec.n_values": (lambda v: GridSpec(n_values=v), (10, 10), "n_values", True),
+    "GridSpec.m_values": (lambda v: GridSpec(m_values=v), (4, 4), "m_values", True),
+    "check_compare": (lambda v: check_compare(5.0, v, 4, 1000, 0.05), (50, 50), "n_values", True),
+    "SteinTestConfig": (lambda v: SteinTestConfig(N=5.0, m=6, modes=v), (4, 4), "mode set", True),
+    "sanov_table.N_values": (lambda v: sanov_table(v, [10]), (5.0, 5.0), "N_values", False),
+    "sanov_table.n_values": (lambda v: sanov_table([5.0], v), (10, 10), "n_values", False),
+    "power_boundary": (lambda v: power_boundary(v, 0.8), (5.0, 5.0), "N_values", False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIST_ENTRY_POINTS))
+def test_every_list_input_is_nonempty_and_distinct_where_refused(entry):
+    call, repeated, what, distinct = LIST_ENTRY_POINTS[entry]
+    for empty in ((), [], iter(())):
+        with pytest.raises(ConfigError, match=f"^{what} must be nonempty$"):
+            call(empty)
+    if distinct:
+        message = f"{what} has duplicate values: {repeated}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(repeated)
+    else:  # a repeat gives its result twice
+        single = np.ravel(call(repeated[:1]))
+        assert np.array_equal(np.ravel(call(repeated)), np.tile(single, 2))
 
 
 def test_grid_spec_rejects_fractional_counts():
