@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import os
+import stat
 import sys
 
 from . import harness
@@ -62,14 +63,19 @@ def _resolve_seed(seed: int | None) -> int:
     return drawn
 
 
+@contextlib.contextmanager
 def _open_output(path: str | None):
     """Open an output path: '-' is standard output and None is no output. Every
-    handler opens after its last check and before its first random draw."""
-    if path is None:
-        return contextlib.nullcontext()
-    if path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    handler opens after its last check and before its first random draw. A file
+    is not emptied on open but cut to the result when the block ends normally."""
+    if path is None or path == "-":
+        yield None if path is None else sys.stdout
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+              newline="\n") as out:
+        yield out
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
 
 
 def _table_text(args, csv_text: str, payload) -> str:
@@ -233,18 +239,18 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    values = _read_numbers(args.input)
     config = SteinTestConfig(N=args.N, m=args.m, modes=args.modes, level=args.level)
     calibrated = args.cutoff == "calibrated"
     cutoff = None  # the chi-squared cutoff
-    if calibrated:
-        harness.check_calibration(len(values), config, args.reps, args.standardize)
-    elif args.cutoff != "theoretical":
+    if not calibrated and args.cutoff != "theoretical":
         try:
             cutoff = float(args.cutoff)
         except ValueError:
             raise FiniteNError("--cutoff must be 'theoretical', 'calibrated', or a number, "
                                f"got {args.cutoff!r}")
+    values = _read_numbers(args.input)  # after the checks: stdin can wait on a terminal
+    if calibrated:
+        harness.check_calibration(len(values), config, args.reps, args.standardize)
     # run_test refuses a bad sample, so it runs before a seed is drawn
     report = run_test(values, config, standardize_first=args.standardize, cutoff=cutoff)
     seed = _resolve_seed(args.seed) if calibrated else None

@@ -323,38 +323,37 @@ def calibrate(
     return empirical_cutoff(stats[-1], config.level)
 
 
-def _power_row(config, n, hypothesis, stats, seed, cutoff_source, cutoff) -> PowerRow:
-    return PowerRow(N=config.N, n=n, m=config.m, modes=config.modes, cutoff_source=cutoff_source,
+def _power_row(config, n, hypothesis, stats, seed, cutoff) -> PowerRow:
+    """The one map from a cutoff to its label: None is the chi-squared cutoff."""
+    source, cutoff = ((THEORETICAL, config.theoretical_cutoff()) if cutoff is None
+                      else (CALIBRATED, cutoff))
+    return PowerRow(N=config.N, n=n, m=config.m, modes=config.modes, cutoff_source=source,
                     hypothesis=hypothesis, rejection_rate=_rate(stats, cutoff), reps=stats.size,
                     seed=int(seed))
 
 
 def estimate_rejection(
-    n: int,
-    config: SteinTestConfig,
-    hypothesis: str,
-    cutoff: float,
-    reps: int,
-    seed: int,
-    cutoff_source: str = CALIBRATED,
+    n: int, config: SteinTestConfig, hypothesis: str, cutoff: float | None, reps: int, seed: int
 ) -> PowerRow:
     """Fraction of replications whose statistic exceeds the cutoff.
 
     Null replications come from the exact law, alternative replications
     from the standard Gaussian; both are already location/scale aligned
-    by construction, so the statistic is evaluated on the raw draws.
+    by construction, so the statistic is evaluated on the raw draws. As
+    in :func:`run_test`, a cutoff of None is the chi-squared cutoff and
+    labels the row ``theoretical``; a number is used as given and labels
+    it ``calibrated``.
     """
     n = check_int(n, "sample size", 1)
     name = str(hypothesis).lower()
     if name not in (H0, H1):
         raise ConfigError(f"hypothesis must be '{H0}' or '{H1}', got {hypothesis!r}")
-    if cutoff_source not in (THEORETICAL, CALIBRATED):
-        raise ConfigError(f"cutoff_source must be theoretical or calibrated, got {cutoff_source!r}")
-    cutoff = check_cutoff(cutoff)
+    if cutoff is not None:
+        cutoff = check_cutoff(cutoff)
     reps = check_int(reps, "reps", 1)
     stats = _statistics(_running_statistics, config, name, n, reps, seed,
                         ("evaluate", name), False, Workspace())
-    return _power_row(config, n, name, stats[-1], seed, cutoff_source, cutoff)
+    return _power_row(config, n, name, stats[-1], seed, cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -431,9 +430,8 @@ def _grid_pair(args) -> list[CellResult]:
         cutoff_cal = empirical_cutoff(calibration[row], spec.level)
         entry = CalibrationEntry(N=config.N, n=n, m=config.m, level=spec.level,
                                  cutoff=cutoff_cal, reps=spec.calib_reps, seed=seed)
-        cutoffs = ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff_cal))
-        rows = tuple(_power_row(config, n, h, evaluation[h][row], seed, source, cutoff)
-                     for h in (H0, H1) for source, cutoff in cutoffs)
+        rows = tuple(_power_row(config, n, h, evaluation[h][row], seed, cutoff)
+                     for h in (H0, H1) for cutoff in (None, cutoff_cal))
         cells.append(CellResult(calibration=entry, rows=rows))
     return cells
 

@@ -734,8 +734,13 @@ def test_grid_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
      "finiten test: error: argument --modes: expected a comma list of integers, got '4,x'"),
     (["calibrate", "--N", "5", "--n", "100", "--modes", "4,4"],
      "finiten: error: mode set has duplicate values: (4, 4)"),
+    # checked before the input is read
+    (["test", "--N", "2"], "finiten: error: N must be a finite real > 3, got 2.0"),
+    (["test", "--N", "2", "--input", "/nonexistent"],
+     "finiten: error: N must be a finite real > 3, got 2.0"),
 ], ids=["sanov-n", "sanov-N", "boundary", "dist-x", "dist-p", "test-blank-input",
-        "test-modes-parsed-first", "calibrate-repeated-mode"])
+        "test-modes-parsed-first", "calibrate-repeated-mode", "test-N-before-stdin",
+        "test-N-before-file"])
 def test_table_commands_refuse_empty_lists(argv, stderr, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b" \n\t \n")))
     out = tmp_path / "out.csv"
@@ -756,6 +761,8 @@ def test_interrupted_commands_exit_130_in_one_line(tmp_path, monkeypatch, capsys
 
     data = tmp_path / "data.txt"
     data.write_text("\n".join(map(repr, FiniteNLaw(5).sample(100, 3).tolist())))
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
     for target, argv in (
         ("compare_edf", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000"]),
         ("calibrate", ["calibrate", "--N", "5", "--n", "100", "--reps", "1000"]),
@@ -763,13 +770,40 @@ def test_interrupted_commands_exit_130_in_one_line(tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(harness, target, interrupt)
         try:
-            code = cli.main([*argv, "--seed", "1"])
+            code = cli.main([*argv, "--seed", "1", "--output", str(out)])
         except KeyboardInterrupt:  # fail this test, not the whole session
             pytest.fail(f"{argv[0]}: the interrupt escaped cli.main")
         assert code == 130
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "finiten: interrupted\n"
+        assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--N", "5", "--n", "4", "--seed", "1"],
+    ["grid", "--N-values", "5", "--n-values", "10", "--m-values", "4", "--calib-reps", "1000",
+     "--eval-reps", "10", "--seed", "1", "--quiet", "--calibration-out", "{calibration}"],
+], ids=lambda argv: argv[0])
+def test_output_replaces_a_longer_file_and_writes_to_devices(argv, tmp_path, capsys):
+    calibration = tmp_path / "calibration.csv"
+    argv = [arg.format(calibration=calibration) for arg in argv]
+    assert cli.main(argv) == 0
+    out = tmp_path / "out.csv"
+    expected = {out: capsys.readouterr().out}
+    if calibration.exists():
+        expected[calibration] = calibration.read_text()
+    for path in expected:
+        path.write_text("stale line\n" * 100)
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert {path: path.read_text() for path in expected} == expected
+    # a device is written, not cut: /dev/null, and a pipe through /dev/stdout
+    assert cli.main([*argv, "--output", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+    piped = run_cli(*argv, "--output", "/dev/stdout")
+    assert piped.returncode == 0
+    assert piped.stdout == expected[out]
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -324,8 +324,6 @@ def test_estimate_rejection_validation():
         estimate_rejection(50, config, "h2", 3.8, 100, seed=0)
     with pytest.raises(ConfigError):
         estimate_rejection(50, config, H0, -1.0, 100, seed=0)
-    with pytest.raises(ConfigError):
-        estimate_rejection(50, config, H0, 3.8, 100, seed=0, cutoff_source="guess")
 
 
 def test_grid_spec_defaults_follow_protocol():
@@ -380,12 +378,10 @@ def test_run_grid_composition_matches_direct_calls():
         (entry,) = [e for e in result.calibration if e.m == m]
         assert entry.cutoff == cutoff
         for hypothesis in (H0, H1):
-            for source, value in ((THEORETICAL, config.theoretical_cutoff()), (CALIBRATED, cutoff)):
-                row = estimate_rejection(
-                    50, config, hypothesis, value, spec.eval_reps,
-                    spec.master_seed, cutoff_source=source,
-                )
-                expected[(m, hypothesis, source)] = row
+            for value in (None, cutoff):
+                row = estimate_rejection(50, config, hypothesis, value, spec.eval_reps,
+                                         spec.master_seed)
+                expected[(m, hypothesis, row.cutoff_source)] = row
     for row in result.rows:
         assert row == expected[(row.m, row.hypothesis, row.cutoff_source)]
 
