@@ -23,7 +23,7 @@ import sys
 
 from . import harness
 from .distribution import FiniteNLaw
-from .errors import FiniteNError, check_int, check_seed
+from .errors import FiniteNError, check_cutoff, check_int, check_seed, check_values
 from .jacobi import _norms
 from .stein_test import SteinTestConfig, run_test
 
@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_modes_list, default=None,
                    help="comma list of modes, or 'even' for {4,6,..,m}")
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--cutoff", default="theoretical",
-                   help="'theoretical', 'calibrated', or an explicit numeric value")
+    p.add_argument("--cutoff", default=harness.THEORETICAL,
+                   help="'theoretical', 'calibrated', or a finite positive number")
     p.add_argument("--reps", type=int, default=5_000,
                    help="replications for on-the-fly calibration (cutoff=calibrated)")
     p.add_argument("--seed", type=int, default=None)
@@ -240,14 +240,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_test(args) -> int:
     config = SteinTestConfig(N=args.N, m=args.m, modes=args.modes, level=args.level)
-    calibrated = args.cutoff == "calibrated"
-    cutoff = None  # the chi-squared cutoff
-    if not calibrated and args.cutoff != "theoretical":
-        try:
-            cutoff = float(args.cutoff)
-        except ValueError:
-            raise FiniteNError("--cutoff must be 'theoretical', 'calibrated', or a number, "
-                               f"got {args.cutoff!r}")
+    calibrated = args.cutoff == harness.CALIBRATED
+    keyword = args.cutoff in (harness.THEORETICAL, harness.CALIBRATED)
+    cutoff = None if keyword else check_cutoff(args.cutoff)  # None: the chi-squared cutoff
     values = _read_numbers(args.input)  # after the checks: stdin can wait on a terminal
     if calibrated:
         harness.check_calibration(len(values), config, args.reps, args.standardize)
@@ -286,16 +281,15 @@ def _cmd_dist(args) -> int:
     law = FiniteNLaw(args.N)
     if args.x is None and args.p is None:
         raise FiniteNError("dist requires --x and/or --p")
-    if [] in (args.x, args.p):
-        raise FiniteNError("--x and --p must be nonempty")
     lines = []
     if args.x is not None:
         lines.append("x,density,log_density,cdf")
         lines += [f"{x:.10g},{law.density(x):.10g},{law.log_density(x):.10g},{law.cdf(x):.10g}"
-                  for x in args.x]
+                  for x in check_values(args.x, "--x", lambda x: x, distinct=False)]
     if args.p is not None:
         lines.append("p,quantile")
-        lines += [f"{p:.10g},{law.quantile(p):.10g}" for p in args.p]
+        lines += [f"{p:.10g},{law.quantile(p):.10g}"
+                  for p in check_values(args.p, "--p", lambda p: p, distinct=False)]
     with _open_output(args.output) as out:
         out.write(_csv_text(lines))
     return 0
@@ -307,7 +301,7 @@ def _cmd_calibrate(args) -> int:
     seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:
         cutoff = harness.calibrate(args.n, config, args.reps, seed, args.standardize)
-        entry = harness.CalibrationEntry(N=float(args.N), n=args.n, m=args.m, level=args.level,
+        entry = harness.CalibrationEntry(N=config.N, n=args.n, m=args.m, level=args.level,
                                          cutoff=cutoff, reps=args.reps, seed=seed)
         out.write(_table_text(args, harness.records_to_csv(harness.CalibrationEntry, [entry]),
                               harness.records_to_json([entry])))

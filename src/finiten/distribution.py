@@ -287,8 +287,8 @@ class FiniteNLaw:
         midpoint the next ``_QUANTILE_STEPS`` bisection steps might visit,
         so the steps, and the result, are those of one-point bisection.
         """
-        p = float(p)
-        if not math.isfinite(p) or not 0.0 < p < 1.0:
+        p = float(check_finite(p, "p"))
+        if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
         if p == 0.5:
             return 0.0

@@ -1,7 +1,8 @@
 """Exception types and the input checks shared across the package.
 
 Each input quantity has one check here, called by every entry point
-that takes it.
+that takes it. A check answers a value of any type: a number, or the
+check's FiniteNError.
 """
 
 import math
@@ -26,11 +27,14 @@ class ConfigError(FiniteNError, ValueError):
 
 
 def _as_float(value) -> float:
-    """float(value), with an integer beyond the float range taken as infinite."""
+    """float(value), an integer beyond the float range as infinite, and a
+    value that float() refuses (None, "x", a list) as nan."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def check_N(N) -> float:
@@ -42,22 +46,23 @@ def check_N(N) -> float:
 
 
 def check_int(value, what: str, minimum: int) -> int:
-    """An integral count as an int; ConfigError if fractional, below minimum,
-    or an integer beyond the float range."""
+    """An integral count as an int, exact for an integer; ConfigError if
+    fractional, below minimum, not a number, or an integer beyond the float range."""
     as_float = _as_float(value)
     if isinstance(value, int) and math.isinf(as_float):
         raise ConfigError(f"{what} must be an integer within the float range (about 1.8e308), "
                           f"got one of {value.bit_length()} bits")
-    if not as_float.is_integer() or value < minimum:
+    if not as_float.is_integer() or as_float < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    return int(value) if hasattr(value, "__index__") else int(as_float)
 
 
 def check_seed(seed) -> int:
     """A master seed as an int; ConfigError unless integral with 0 <= seed < 2**63."""
-    if seed >= 2**63:
+    value = check_int(seed, "seed", 0)
+    if value >= 2**63:
         raise ConfigError(f"seed must be an integer < 2**63, got {seed!r}")
-    return check_int(seed, "seed", 0)
+    return value
 
 
 def check_level(level) -> float:
@@ -88,11 +93,11 @@ def check_values(values, what: str, check, distinct: bool = True) -> tuple:
 
 
 def check_finite(values, what: str) -> np.ndarray:
-    """values as a float array; DomainError if any entry is nan or infinite."""
+    """values as a float array; DomainError if any entry is not a finite number."""
     try:
         arr = np.asarray(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        arr = np.array(math.inf)
+    except (OverflowError, TypeError, ValueError):  # a huge integer, or not a number
+        arr = np.array(math.nan)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     return arr

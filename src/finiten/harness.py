@@ -43,8 +43,8 @@ import numpy as np
 from .distribution import FiniteNLaw
 from .edf import _edf_statistics
 from .errors import (
-    ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_seed,
-    check_values,
+    ConfigError, DomainError, check_cutoff, check_finite, check_int, check_level, check_N,
+    check_seed, check_values,
 )
 from .stein_test import (
     SteinTestConfig, _check_standardizable, _running_statistics, _standardize,
@@ -52,18 +52,13 @@ from .stein_test import (
 from .workspace import Workspace
 
 __all__ = [
-    "H0",
-    "H1",
     "THEORETICAL",
     "CALIBRATED",
-    "ReplicationStreams",
     "GridSpec",
     "CalibrationEntry",
     "PowerRow",
     "CompareRow",
-    "CellResult",
     "GridResult",
-    "empirical_cutoff",
     "check_calibration",
     "calibrate",
     "estimate_rejection",
@@ -72,7 +67,6 @@ __all__ = [
     "power_boundary",
     "check_compare",
     "compare_edf",
-    "COMPARE_TESTS",
     "POWER_CSV_HEADER",
     "COMPARE_CSV_HEADER",
     "records_to_csv",
@@ -486,7 +480,7 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
     """Smallest n with sanov power proxy >= target, for each N. An empty
     N_values raises ConfigError, and an n past the float range (KL
     underflows from about N = 1e154) raises DomainError."""
-    target = float(target_power)
+    target = float(check_finite(target_power, "target power"))
     if not 0.0 < target < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
     out = []

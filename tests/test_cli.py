@@ -107,6 +107,7 @@ def test_test_command_explicit_cutoff():
     assert json.loads(result.stdout)["reject"] is False
     bad = run_cli("test", "--N", "5", "--cutoff", "sometimes", stdin=sample.stdout)
     assert bad.returncode == 2
+    assert bad.stderr == "finiten: error: cutoff must be a finite positive real, got 'sometimes'\n"
 
 
 def test_test_command_calibrated_cutoff():
@@ -725,9 +726,9 @@ def test_grid_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
     (["sanov", "--n", ","], "finiten: error: n_values must be nonempty"),
     (["sanov", "--N", ","], "finiten: error: N_values must be nonempty"),
     (["boundary", "--N-values", ","], "finiten: error: N_values must be nonempty"),
-    (["dist", "--N", "5", "--x", ","], "finiten: error: --x and --p must be nonempty"),
-    (["dist", "--N", "5", "--x", "0.5", "--p", ","],
-     "finiten: error: --x and --p must be nonempty"),
+    (["dist", "--N", "5", "--x", ","], "finiten: error: --x must be nonempty"),
+    (["dist", "--N", "5", "--x", "0.5", "--p", ","], "finiten: error: --p must be nonempty"),
+    (["dist", "--N", "5"], "finiten: error: dist requires --x and/or --p"),
     (["test", "--N", "5"], "finiten: error: input contains no numbers"),
     # refused while parsing, before the missing file is opened
     (["test", "--N", "5", "--modes", "4,x", "--input", "/nonexistent"],
@@ -738,9 +739,11 @@ def test_grid_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
     (["test", "--N", "2"], "finiten: error: N must be a finite real > 3, got 2.0"),
     (["test", "--N", "2", "--input", "/nonexistent"],
      "finiten: error: N must be a finite real > 3, got 2.0"),
-], ids=["sanov-n", "sanov-N", "boundary", "dist-x", "dist-p", "test-blank-input",
-        "test-modes-parsed-first", "calibrate-repeated-mode", "test-N-before-stdin",
-        "test-N-before-file"])
+    (["test", "--N", "5", "--cutoff", "-1"],
+     "finiten: error: cutoff must be a finite positive real, got '-1'"),
+], ids=["sanov-n", "sanov-N", "boundary", "dist-x", "dist-p", "dist-neither",
+        "test-blank-input", "test-modes-parsed-first", "calibrate-repeated-mode",
+        "test-N-before-stdin", "test-N-before-file", "test-cutoff-before-stdin"])
 def test_table_commands_refuse_empty_lists(argv, stderr, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b" \n\t \n")))
     out = tmp_path / "out.csv"

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import finiten
-from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig
-from finiten.errors import ConfigError, DomainError
+from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig, run_test
+from finiten.errors import ConfigError, DomainError, check_int, check_seed
 from finiten.harness import (
     calibrate, check_compare, compare_edf, estimate_rejection, power_boundary, run_grid,
     sanov_table,
@@ -84,6 +84,34 @@ def test_library_seeds_must_be_integers_in_int64_range():
         compare_edf(5, [10], reps=1000, seed=2**63)
 
 
+# values that float() refuses, each given where a number is checked
+WRONG_TYPE_ENTRY_POINTS = {
+    "calibrate.seed": (ConfigError, lambda: calibrate(50, SteinTestConfig(N=5), 1000, None)),
+    "GridSpec.calib_reps": (ConfigError, lambda: GridSpec(calib_reps=None)),
+    "SteinTestConfig.level": (ConfigError, lambda: SteinTestConfig(N=5, level=None)),
+    "FiniteNLaw.None": (DomainError, lambda: FiniteNLaw(None)),
+    "FiniteNLaw.str": (DomainError, lambda: FiniteNLaw("abc")),
+    "run_test.values": (DomainError, lambda: run_test([0.1, 0.2, "a", 0.3], SteinTestConfig(N=5))),
+    "FiniteNLaw.quantile": (DomainError, lambda: FiniteNLaw(5).quantile(None)),
+    "power_boundary.target": (DomainError, lambda: power_boundary([5.0], None)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_TYPE_ENTRY_POINTS))
+def test_every_check_refuses_a_value_that_is_not_a_number(entry):
+    error, call = WRONG_TYPE_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call()
+
+
+def test_checks_keep_every_number_they_accepted():
+    assert FiniteNLaw("5").N == 5.0
+    seed = check_seed(np.int64(2**60 + 1))  # beyond 2**53: exact, not through a float
+    assert type(seed) is int and seed == 2**60 + 1
+    assert GridSpec(eval_reps="5").eval_reps == 5
+    assert check_int(np.float64(7.0), "count", 1) == 7
+
+
 _TINY_GRID = GridSpec(N_values=(5.0,), n_values=(10,), m_values=(4,), calib_reps=1000, eval_reps=10)
 
 COUNT_ENTRY_POINTS = {
@@ -119,27 +147,37 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-# perfbench imports these three, and only a change to the benchmark may remove them
-_USED_BY_THE_BENCHMARK = {"compare_rows_to_csv", "POWER_CSV_HEADER", "COMPARE_CSV_HEADER"}
+# perfbench uses these four, and only a change to the benchmark may remove them
+_USED_BY_THE_BENCHMARK = {"compare_rows_to_csv", "POWER_CSV_HEADER", "COMPARE_CSV_HEADER",
+                          "build_parser"}
+
+
+def _loaded_names(path) -> set:
+    """The names a module file loads: as a name, an attribute or an import."""
+    loaded = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.alias):
+            loaded.add(node.name)
+    return loaded
 
 
 def test_every_exported_name_is_used():
-    # a name a submodule exports is package API, or the package loads it
-    # somewhere outside __init__.py: as a name, an attribute or an import
-    loaded = set()
-    for path in pathlib.Path(finiten.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.alias):
-                loaded.add(node.name)
-    allowed = set(finiten.__all__) | loaded | _USED_BY_THE_BENCHMARK
-    unused = [f"{module.__name__}.{name}" for module in _modules()[1:]
-              for name in getattr(module, "__all__", ()) if name not in allowed]
+    # a name a submodule exports is package API, or another module of the
+    # package, not __init__.py, loads it; its own loads do not count
+    loaded = {path.stem: _loaded_names(path)
+              for path in pathlib.Path(finiten.__file__).parent.glob("*.py")
+              if path.name != "__init__.py"}
+    unused = []
+    for module in _modules()[1:]:
+        stem = module.__name__.rpartition(".")[2]
+        elsewhere = set().union(*(names for other, names in loaded.items() if other != stem))
+        allowed = set(finiten.__all__) | elsewhere | _USED_BY_THE_BENCHMARK
+        unused += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in allowed]
     assert not unused
 
 
