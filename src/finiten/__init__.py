@@ -13,19 +13,6 @@ from .errors import (
     DomainError,
     FiniteNError,
 )
-from .harness import (
-    CalibrationEntry,
-    CompareRow,
-    GridResult,
-    GridSpec,
-    PowerRow,
-    calibrate,
-    compare_edf,
-    estimate_rejection,
-    power_boundary,
-    run_grid,
-    sanov_table,
-)
 from .jacobi import JacobiBasis
 from .stein_test import (
     SteinTestConfig,
@@ -38,6 +25,12 @@ from .stein_test import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo harness's names; it is imported on the first use of one
+# (PEP 562), so the analytic core alone loads no harness.
+_HARNESS_NAMES = ("GridSpec", "CalibrationEntry", "PowerRow", "CompareRow", "GridResult",
+                  "calibrate", "estimate_rejection", "run_grid", "sanov_table",
+                  "power_boundary", "compare_edf")
 
 __all__ = [
     "FiniteNLaw",
@@ -53,16 +46,13 @@ __all__ = [
     "coefficients",
     "batch_statistic",
     "run_test",
-    "GridSpec",
-    "CalibrationEntry",
-    "PowerRow",
-    "CompareRow",
-    "GridResult",
-    "calibrate",
-    "estimate_rejection",
-    "run_grid",
-    "sanov_table",
-    "power_boundary",
-    "compare_edf",
+    *_HARNESS_NAMES,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,16 +16,14 @@ import contextlib
 import dataclasses
 import functools
 import itertools
-import json
 import os
 import stat
 import sys
 
-from . import harness
 from .distribution import FiniteNLaw
 from .errors import FiniteNError, check_cutoff, check_int, check_seed, check_values
 from .jacobi import _norms
-from .stein_test import SteinTestConfig, run_test
+from .stein_test import CALIBRATED, THEORETICAL, SteinTestConfig, run_test
 
 __all__ = ["main", "build_parser"]
 
@@ -81,7 +79,10 @@ def _open_output(path: str | None):
 def _table_text(args, csv_text: str, payload) -> str:
     """A table command's result: the CSV text, or under --format json the
     payload as one JSON line."""
-    return json.dumps(payload) + "\n" if args.format == "json" else csv_text
+    if args.format != "json":
+        return csv_text
+    import json  # only --format json pays for its import
+    return json.dumps(payload) + "\n"
 
 
 def _csv_text(lines) -> str:
@@ -131,7 +132,6 @@ def _workers_option(p) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="finiten", description=__doc__)
-    reference = harness.GridSpec()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a sample, one value per line")
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_modes_list, default=None,
                    help="comma list of modes, or 'even' for {4,6,..,m}")
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--cutoff", default=harness.THEORETICAL,
+    p.add_argument("--cutoff", default=THEORETICAL,
                    help="'theoretical', 'calibrated', or a finite positive number")
     p.add_argument("--reps", type=int, default=5_000,
                    help="replications for on-the-fly calibration (cutoff=calibrated)")
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--modes", type=_modes_list, default=None)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=reference.calib_reps)
+    p.add_argument("--reps", type=int, default=None,
+                   help="replications (default: the reference protocol's calibration count)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-standardize", dest="standardize", action="store_false",
                    help="calibrate the raw statistic, for test --no-standardize")
@@ -194,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-reps", type=int, default=None)
     p.add_argument("--eval-reps", type=int, default=None)
     p.add_argument("--full-reps", action="store_true",
-                   help=f"use {reference.calib_reps:,} calibration / "
-                        f"{reference.eval_reps:,} evaluation replications")
+                   help="use the reference protocol's calibration and evaluation replications")
     p.add_argument("--seed", type=int, default=None)
     _workers_option(p)
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
@@ -240,11 +240,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_test(args) -> int:
     config = SteinTestConfig(N=args.N, m=args.m, modes=args.modes, level=args.level)
-    calibrated = args.cutoff == harness.CALIBRATED
-    keyword = args.cutoff in (harness.THEORETICAL, harness.CALIBRATED)
+    calibrated = args.cutoff == CALIBRATED
+    keyword = args.cutoff in (THEORETICAL, CALIBRATED)
     cutoff = None if keyword else check_cutoff(args.cutoff)  # None: the chi-squared cutoff
     values = _read_numbers(args.input)  # after the checks: stdin can wait on a terminal
     if calibrated:
+        from . import harness  # only a calibrated test loads the Monte Carlo harness
         harness.check_calibration(len(values), config, args.reps, args.standardize)
     # run_test refuses a bad sample, so it runs before a seed is drawn
     report = run_test(values, config, standardize_first=args.standardize, cutoff=cutoff)
@@ -296,13 +297,15 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import harness
     config = SteinTestConfig(N=args.N, m=args.m, modes=args.modes, level=args.level)
-    harness.check_calibration(args.n, config, args.reps, args.standardize)
+    reps = harness.GridSpec.calib_reps if args.reps is None else args.reps
+    harness.check_calibration(args.n, config, reps, args.standardize)
     seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:
-        cutoff = harness.calibrate(args.n, config, args.reps, seed, args.standardize)
+        cutoff = harness.calibrate(args.n, config, reps, seed, args.standardize)
         entry = harness.CalibrationEntry(N=config.N, n=args.n, m=args.m, level=args.level,
-                                         cutoff=cutoff, reps=args.reps, seed=seed)
+                                         cutoff=cutoff, reps=reps, seed=seed)
         out.write(_table_text(args, harness.records_to_csv(harness.CalibrationEntry, [entry]),
                               harness.records_to_json([entry])))
     return 0
@@ -316,6 +319,7 @@ _DESK_REPS = {"calib_reps": 5_000, "eval_reps": 2_000}
 
 
 def _cmd_grid(args) -> int:
+    from . import harness
     # fields left out take the reference protocol's defaults from GridSpec
     overrides = {}
     for flag, full, defaults in (("--full-grid", args.full_grid, _DESK_AXES),
@@ -352,6 +356,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_sanov(args) -> int:
+    from . import harness
     table = [[format(v, ".6g") for v in row] for row in harness.sanov_table(args.N, args.n)]
     csv_text = _csv_text([",".join(["N", *map(str, args.n)]),
                           *(f"{N:g}," + ",".join(row) for N, row in zip(args.N, table))])
@@ -363,6 +368,7 @@ def _cmd_sanov(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
+    from . import harness
     pairs = harness.power_boundary(args.N_values, args.target)
     with _open_output(args.output) as out:
         out.write(_table_text(args, _csv_text(["N,n_star", *(f"{N:g},{n}" for N, n in pairs)]),
@@ -371,6 +377,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import harness
     harness.check_compare(args.N, args.n_values, args.m, args.reps, args.level)
     check_int(args.workers, "workers", 1)
     seed = _resolve_seed(args.seed)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_N
+from .errors import DomainError, check_finite, check_int, check_N, check_real
 from .workspace import Workspace
 
 __all__ = ["FiniteNLaw"]
@@ -287,7 +287,7 @@ class FiniteNLaw:
         midpoint the next ``_QUANTILE_STEPS`` bisection steps might visit,
         so the steps, and the result, are those of one-point bisection.
         """
-        p = float(check_finite(p, "p"))
+        p = check_real(p, "p")
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
         if p == 0.5:

@@ -73,6 +73,14 @@ def check_level(level) -> float:
     return value
 
 
+def check_real(value, what: str) -> float:
+    """One number as a float; DomainError unless it is a finite number, not a list."""
+    as_float = _as_float(value)
+    if not math.isfinite(as_float):
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
+    return as_float
+
+
 def check_cutoff(cutoff) -> float:
     """Critical value as a float; ConfigError unless finite and positive."""
     value = _as_float(cutoff)

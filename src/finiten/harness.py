@@ -43,17 +43,16 @@ import numpy as np
 from .distribution import FiniteNLaw
 from .edf import _edf_statistics
 from .errors import (
-    ConfigError, DomainError, check_cutoff, check_finite, check_int, check_level, check_N,
+    ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_real,
     check_seed, check_values,
 )
 from .stein_test import (
-    SteinTestConfig, _check_standardizable, _running_statistics, _standardize,
+    CALIBRATED, THEORETICAL, SteinTestConfig, _check_standardizable, _running_statistics,
+    _standardize,
 )
 from .workspace import Workspace
 
 __all__ = [
-    "THEORETICAL",
-    "CALIBRATED",
     "GridSpec",
     "CalibrationEntry",
     "PowerRow",
@@ -78,8 +77,6 @@ __all__ = [
 
 H0 = "h0"
 H1 = "h1"
-THEORETICAL = "theoretical"
-CALIBRATED = "calibrated"
 COMPARE_TESTS = ("stein", "ks", "cvm", "ad")
 
 # Replications per stream block; part of the determinism contract.
@@ -480,7 +477,7 @@ def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
     """Smallest n with sanov power proxy >= target, for each N. An empty
     N_values raises ConfigError, and an n past the float range (KL
     underflows from about N = 1e154) raises DomainError."""
-    target = float(check_finite(target_power, "target power"))
+    target = check_real(target_power, "target power")
     if not 0.0 < target < 1.0:
         raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
     out = []

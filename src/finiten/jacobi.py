@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_N
+from .errors import DomainError, check_int, check_N, check_real
 
 __all__ = [
     "jacobi_rows",
@@ -158,7 +158,7 @@ class JacobiBasis:
 
     @classmethod
     def build(cls, alpha: float, max_order: int) -> "JacobiBasis":
-        a = float(check_finite(alpha, "alpha"))
+        a = check_real(alpha, "alpha")
         if a <= 0.0:
             raise DomainError(f"alpha must be a finite real > 0, got {a!r}")
         m = check_int(max_order, "max_order", 1)

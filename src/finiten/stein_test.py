@@ -50,6 +50,8 @@ __all__ = [
     "coefficients",
     "batch_statistic",
     "run_test",
+    "THEORETICAL",
+    "CALIBRATED",
 ]
 
 # Why a sample is refused when the recurrence overflows on its squares.
@@ -304,6 +306,12 @@ def batch_statistic(samples: np.ndarray, config: SteinTestConfig) -> np.ndarray:
     if not np.isfinite(t).all():
         raise DomainError(_T_NOT_FINITE)
     return t
+
+
+# The two cutoff sources, as --cutoff keywords and power-row labels: the
+# chi-squared cutoff (run_test's cutoff=None) and one calibrated by Monte Carlo.
+THEORETICAL = "theoretical"
+CALIBRATED = "calibrated"
 
 
 def run_test(

@@ -813,21 +813,24 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _CHECK_LOADED = """
 import sys
 from finiten import cli
-module, loads, argv = sys.argv[1], sys.argv[2] == "loads", sys.argv[3:]
+expected, argv = dict(pair.split("=") for pair in sys.argv[1].split(",")), sys.argv[2:]
 code = cli.main(argv)
 assert code == 0, code
-assert (module in sys.modules) == loads, (module, argv)
+for module, state in expected.items():
+    assert (module in sys.modules) == (state == "loads"), (module, state, argv)
 """
 
 
-def _check_loaded(module, loads, argv, tmp_path):
-    # a fresh process each, since an earlier import would hide a new one
+def _check_loaded(expected, argv, tmp_path):
+    # expected maps a module to "loads" or "spares"; a fresh process each,
+    # since an earlier import would hide a new one
     if argv[0] == "test":
         data = tmp_path / "data.txt"
         data.write_text("\n".join(map(repr, FiniteNLaw(5).sample(200, 3).tolist())))
         argv = [*argv, "--input", str(data)]
+    pairs = ",".join(f"{module}={state}" for module, state in expected.items())
     result = subprocess.run(
-        [sys.executable, "-c", _CHECK_LOADED, module, loads, *argv],
+        [sys.executable, "-c", _CHECK_LOADED, pairs, *argv],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": _SRC},
     )
     assert result.returncode == 0, result.stderr
@@ -858,7 +861,7 @@ def _check_loaded(module, loads, argv, tmp_path):
     ("loads", ["dist", "--N", "401", "--x", "-19"]),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_scipy_is_loaded_only_by_commands_that_need_it(scipy, argv, tmp_path):
-    _check_loaded("scipy", scipy, argv, tmp_path)
+    _check_loaded({"scipy": scipy}, argv, tmp_path)
 
 
 _GRID = ["grid", "--N-values", "5", "--n-values", "10,20", "--m-values", "4", "--calib-reps",
@@ -876,4 +879,48 @@ _GRID = ["grid", "--N-values", "5", "--n-values", "10,20", "--m-values", "4", "-
     ("loads", [*_GRID, "--workers", "2"]),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_pool_modules_are_loaded_only_where_a_pool_runs(pool, argv, tmp_path):
-    _check_loaded("concurrent.futures.process", pool, argv, tmp_path)
+    _check_loaded({"concurrent.futures.process": pool}, argv, tmp_path)
+
+
+@pytest.mark.parametrize("harness_state, hashlib_state, argv", [
+    ("spares", "spares", ["test", "--N", "5"]),
+    ("spares", "spares", ["test", "--N", "5", "--no-standardize"]),
+    ("spares", "spares", ["test", "--N", "5", "--cutoff", "9.5"]),
+    ("spares", "spares", ["test", "--N", "5", "--cutoff", "9.5", "--no-standardize"]),
+    # numpy.random loads hashlib (through secrets) for any draw
+    ("spares", "loads", ["sample", "--N", "5", "--n", "5", "--seed", "1"]),
+    ("spares", "spares", ["dist", "--N", "5", "--x", "0.3", "--p", "0.9"]),
+    ("spares", "spares", ["sigma-table", "--N", "5"]),
+    ("loads", "loads", ["test", "--N", "5", "--cutoff", "calibrated", "--reps", "1000",
+                        "--seed", "1"]),
+    ("loads", "loads", ["calibrate", "--N", "5", "--n", "10", "--reps", "1000", "--seed", "1"]),
+    ("loads", "loads", [*_GRID, "--workers", "1"]),
+    ("loads", "loads", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000", "--seed",
+                        "1", "--workers", "1"]),
+    ("loads", "loads", ["sanov", "--N", "13,20", "--n", "10,100"]),
+    ("loads", "loads", ["boundary"]),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
+def test_monte_carlo_modules_are_loaded_only_by_commands_that_simulate(harness_state,
+                                                                       hashlib_state, argv,
+                                                                       tmp_path):
+    # edf is the harness's alone; json only under --format json, which no row gives
+    _check_loaded({"finiten.harness": harness_state, "finiten.edf": harness_state,
+                   "hashlib": hashlib_state, "json": "spares"}, argv, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_calibrate_defaults_to_the_reference_calibration_count(fmt, monkeypatch, capsys):
+    received = []
+
+    def record(n, config, reps, seed, standardize_first):
+        received.append(reps)
+        return 9.5
+
+    monkeypatch.setattr(harness, "calibrate", record)
+    assert cli.main(["calibrate", "--N", "5", "--n", "10", "--seed", "1", "--format", fmt]) == 0
+    assert received == [harness.GridSpec.calib_reps] == [50_000]
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)[0]["reps"] == 50_000
+    else:
+        assert out == "N,n,m,level,cutoff,reps,seed\n5,10,4,0.05,9.5,50000,1\n"

@@ -104,6 +104,20 @@ def test_every_check_refuses_a_value_that_is_not_a_number(entry):
         call()
 
 
+# each takes one number, so a list of numbers is refused, not converted
+SCALAR_ENTRY_POINTS = {
+    "FiniteNLaw.quantile": lambda: FiniteNLaw(5).quantile([0.1, 0.2]),
+    "power_boundary.target": lambda: power_boundary([5.0], [0.8, 0.9]),
+    "JacobiBasis.build.alpha": lambda: JacobiBasis.build([1.0, 2.0], 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_every_scalar_input_refuses_a_list(entry):
+    with pytest.raises(DomainError, match="must be a finite number, got \\["):
+        SCALAR_ENTRY_POINTS[entry]()
+
+
 def test_checks_keep_every_number_they_accepted():
     assert FiniteNLaw("5").N == 5.0
     seed = check_seed(np.int64(2**60 + 1))  # beyond 2**53: exact, not through a float
@@ -145,6 +159,16 @@ def test_every_exported_name_exists():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_harness_names_are_the_harness_objects_loaded_on_first_use():
+    assert finiten.run_grid is finiten.harness.run_grid
+    assert finiten.GridSpec is finiten.harness.GridSpec
+    namespace = {}
+    exec("from finiten import *", namespace)
+    assert set(finiten.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        finiten.no_such_name
 
 
 # perfbench uses these four, and only a change to the benchmark may remove them
