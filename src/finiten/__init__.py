@@ -6,7 +6,7 @@ operator that characterises it, classical EDF baselines, and a
 reproducible Monte Carlo harness for calibration, size, and power.
 """
 
-from .distribution import FiniteNLaw
+from .distribution import FiniteNLaw, power_boundary, sanov_table
 from .errors import (
     ConfigError,
     DegenerateSampleError,
@@ -29,11 +29,12 @@ __version__ = "0.1.0"
 # The Monte Carlo harness's names; it is imported on the first use of one
 # (PEP 562), so the analytic core alone loads no harness.
 _HARNESS_NAMES = ("GridSpec", "CalibrationEntry", "PowerRow", "CompareRow", "GridResult",
-                  "calibrate", "estimate_rejection", "run_grid", "sanov_table",
-                  "power_boundary", "compare_edf")
+                  "calibrate", "estimate_rejection", "run_grid", "compare_edf")
 
 __all__ = [
     "FiniteNLaw",
+    "sanov_table",
+    "power_boundary",
     "FiniteNError",
     "DomainError",
     "DegenerateSampleError",

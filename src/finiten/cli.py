@@ -20,7 +20,7 @@ import os
 import stat
 import sys
 
-from .distribution import FiniteNLaw
+from .distribution import FiniteNLaw, power_boundary, sanov_table
 from .errors import FiniteNError, check_cutoff, check_int, check_seed, check_values
 from .jacobi import _norms
 from .stein_test import CALIBRATED, THEORETICAL, SteinTestConfig, run_test
@@ -356,8 +356,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_sanov(args) -> int:
-    from . import harness
-    table = [[format(v, ".6g") for v in row] for row in harness.sanov_table(args.N, args.n)]
+    table = [[format(v, ".6g") for v in row] for row in sanov_table(args.N, args.n)]
     csv_text = _csv_text([",".join(["N", *map(str, args.n)]),
                           *(f"{N:g}," + ",".join(row) for N, row in zip(args.N, table))])
     payload = {"N_values": args.N, "n_values": args.n,
@@ -368,8 +367,7 @@ def _cmd_sanov(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    from . import harness
-    pairs = harness.power_boundary(args.N_values, args.target)
+    pairs = power_boundary(args.N_values, args.target)
     with _open_output(args.output) as out:
         out.write(_table_text(args, _csv_text(["N,n_star", *(f"{N:g},{n}" for N, n in pairs)]),
                               [{"N": N, "n_star": n} for N, n in pairs]))

@@ -8,8 +8,9 @@ N > 3 and converges to the standard normal as N grows.
 
 This module provides density/CDF/quantile evaluation, exact samplers for
 the law and for its Gaussian alternative, the closed-form
-Kullback-Leibler divergence to the standard normal, and the
-large-deviation power proxy 1 - exp(-n * KL).
+Kullback-Leibler divergence to the standard normal, the large-deviation
+power proxy 1 - exp(-n * KL), and its two tables: :func:`sanov_table` over
+(N, n) and :func:`power_boundary`, the smallest n reaching a target power.
 
 The null sampler is Ulrich's exact two-uniform transform of the symmetric
 Beta((N - 1)/2, (N - 1)/2) law; draw i takes uniforms 2i and 2i + 1 of
@@ -47,10 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_N, check_real
+from .errors import DomainError, check_finite, check_int, check_N, check_real, check_values
 from .workspace import Workspace
 
-__all__ = ["FiniteNLaw"]
+__all__ = ["FiniteNLaw", "sanov_table", "power_boundary"]
 
 # Integer N up to this bound take the closed-form CDF. Its polynomial has
 # degree about N/2, so above the bound betainc is about as fast and the
@@ -399,4 +400,33 @@ class FiniteNLaw:
         """Large-deviation benchmark for achievable test power at sample
         size n: 1 - exp(-n * KL). Increasing in n, decreasing in N."""
         n = check_int(n, "sample size", 0)
-        return -math.expm1(-n * self.kl_to_gaussian())
+        return 0.0 - math.expm1(-n * self.kl_to_gaussian())  # -expm1 is -0.0 at n = 0
+
+
+def sanov_table(N_values, n_values) -> np.ndarray:
+    """Large-deviation power proxy 1 - exp(-n * KL) on the cross product.
+
+    Rows follow N_values, columns follow n_values; fully deterministic.
+    Either axis empty raises ConfigError.
+    """
+    laws = check_values(N_values, "N_values", FiniteNLaw, distinct=False)
+    # sanov_power_proxy checks each n
+    n_values = check_values(n_values, "n_values", lambda n: n, distinct=False)
+    return np.array([[law.sanov_power_proxy(n) for n in n_values] for law in laws])
+
+
+def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
+    """Smallest n with sanov power proxy >= target, for each N. An empty
+    N_values raises ConfigError, and an n past the float range (KL
+    underflows from about N = 1e154) raises DomainError."""
+    target = check_real(target_power, "target power")
+    if not 0.0 < target < 1.0:
+        raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
+    out = []
+    for law in check_values(N_values, "N_values", FiniteNLaw, distinct=False):
+        kl = law.kl_to_gaussian()
+        n_star = -math.log1p(-target) / kl if kl > 0.0 else math.inf
+        if not math.isfinite(n_star):
+            raise DomainError(f"n_star at N={law.N!r} exceeds the float range")
+        out.append((law.N, max(1, math.ceil(n_star))))
+    return out

@@ -91,8 +91,15 @@ def check_cutoff(cutoff) -> float:
 
 def check_values(values, what: str, check, distinct: bool = True) -> tuple:
     """A list-valued input as a tuple of check(v), one call per value;
-    ConfigError if it is empty or, when distinct, holds a checked value twice."""
-    checked = tuple(map(check, values))
+    ConfigError if it is a string or not iterable, is empty or, when
+    distinct, holds a checked value twice."""
+    try:
+        items = None if isinstance(values, (str, bytes)) else iter(values)
+    except TypeError:  # a number, or a 0-d array
+        items = None
+    if items is None:
+        raise ConfigError(f"{what} must be a list of values, got {values!r}")
+    checked = tuple(map(check, items))
     if not checked:
         raise ConfigError(f"{what} must be nonempty")
     if distinct and len(set(checked)) != len(checked):

@@ -1,8 +1,7 @@
 """Reproducible Monte Carlo experiments over the (N, n, m) grid.
 
-Calibration of critical values, size and power estimation, the
-large-deviation power table, and the comparison against classical EDF
-tests.
+Calibration of critical values, size and power estimation, and the
+comparison against classical EDF tests.
 
 Determinism contract: the replications of a simulation phase are cut into
 blocks of ``BLOCK`` = 512, and replication r is row r % 512 of block
@@ -40,10 +39,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distribution import FiniteNLaw
 from .edf import _edf_statistics
 from .errors import (
-    ConfigError, DomainError, check_cutoff, check_int, check_level, check_N, check_real,
+    ConfigError, DomainError, check_cutoff, check_int, check_level, check_N,
     check_seed, check_values,
 )
 from .stein_test import (
@@ -62,8 +60,6 @@ __all__ = [
     "calibrate",
     "estimate_rejection",
     "run_grid",
-    "sanov_table",
-    "power_boundary",
     "check_compare",
     "compare_edf",
     "POWER_CSV_HEADER",
@@ -455,39 +451,6 @@ def run_grid(spec: GridSpec, workers: int = 1, on_cell=None) -> GridResult:
     rows = tuple(row for cell in results for row in cell.rows)
     calibration = tuple(cell.calibration for cell in results)
     return GridResult(rows=rows, calibration=calibration, complete=complete)
-
-
-# ----------------------------------------------------------------------
-# Deterministic tables
-# ----------------------------------------------------------------------
-
-def sanov_table(N_values, n_values) -> np.ndarray:
-    """Large-deviation power proxy 1 - exp(-n * KL) on the cross product.
-
-    Rows follow N_values, columns follow n_values; fully deterministic.
-    Either axis empty raises ConfigError.
-    """
-    laws = check_values(N_values, "N_values", FiniteNLaw, distinct=False)
-    # sanov_power_proxy checks each n
-    n_values = check_values(n_values, "n_values", lambda n: n, distinct=False)
-    return np.array([[law.sanov_power_proxy(n) for n in n_values] for law in laws])
-
-
-def power_boundary(N_values, target_power: float) -> list[tuple[float, int]]:
-    """Smallest n with sanov power proxy >= target, for each N. An empty
-    N_values raises ConfigError, and an n past the float range (KL
-    underflows from about N = 1e154) raises DomainError."""
-    target = check_real(target_power, "target power")
-    if not 0.0 < target < 1.0:
-        raise DomainError(f"target power must lie in (0, 1), got {target_power!r}")
-    out = []
-    for law in check_values(N_values, "N_values", FiniteNLaw, distinct=False):
-        kl = law.kl_to_gaussian()
-        n_star = -math.log1p(-target) / kl if kl > 0.0 else math.inf
-        if not math.isfinite(n_star):
-            raise DomainError(f"n_star at N={law.N!r} exceeds the float range")
-        out.append((law.N, max(1, math.ceil(n_star))))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from finiten import FiniteNLaw
+from finiten import FiniteNLaw, sanov_table
 from finiten.harness import (
     H0,
     H1,
@@ -23,7 +23,6 @@ from finiten.harness import (
     estimate_rejection,
     grid_result_to_csv,
     run_grid,
-    sanov_table,
 )
 from finiten.jacobi import JacobiBasis
 from finiten.stein_test import SteinTestConfig

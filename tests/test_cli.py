@@ -326,6 +326,15 @@ def test_grid_json_mirrors_fields():
     assert len(payload["calibration"]) == 1
 
 
+@pytest.mark.parametrize("fmt, expected", [
+    ("csv", "N,0,10\n5,0,0.369758\n"),
+    ("json", '{"N_values": [5.0], "n_values": [0, 10], "power": [[0.0, 0.369758]]}\n'),
+], ids=["csv", "json"])
+def test_sanov_prints_no_negative_zero_at_n_zero(fmt, expected, capsys):
+    assert cli.main(["sanov", "--N", "5", "--n", "0,10", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_sanov_reproduces_reference_table():
     expected = {
         (4, 50): 0.983, (5, 10): 0.370, (10, 100): 0.603, (20, 2000): 0.984,
@@ -897,8 +906,8 @@ def test_pool_modules_are_loaded_only_where_a_pool_runs(pool, argv, tmp_path):
     ("loads", "loads", [*_GRID, "--workers", "1"]),
     ("loads", "loads", ["compare", "--N", "20", "--n-values", "100", "--reps", "1000", "--seed",
                         "1", "--workers", "1"]),
-    ("loads", "loads", ["sanov", "--N", "13,20", "--n", "10,100"]),
-    ("loads", "loads", ["boundary"]),
+    ("spares", "spares", ["sanov", "--N", "13,20", "--n", "10,100"]),
+    ("spares", "spares", ["boundary"]),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_monte_carlo_modules_are_loaded_only_by_commands_that_simulate(harness_state,
                                                                        hashlib_state, argv,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from finiten import FiniteNLaw
+from finiten import FiniteNLaw, sanov_table
 from finiten.distribution import _CLOSED_FORM_MAX_N, _TAIL
 from finiten.errors import ConfigError, DomainError
 from finiten.workspace import Workspace
@@ -416,6 +416,12 @@ def test_sanov_power_proxy():
     assert all(b > a for a, b in zip(values, values[1:]))
     at_n = [FiniteNLaw(float(N)).sanov_power_proxy(100) for N in range(4, 30)]
     assert all(b < a for a, b in zip(at_n, at_n[1:]))
+
+
+def test_sanov_power_proxy_is_positive_zero_at_n_zero():
+    # -0.0 == 0.0, so only the sign tells them apart; the CLI would print -0
+    assert not np.signbit(FiniteNLaw(5).sanov_power_proxy(0))
+    assert not np.signbit(sanov_table([5.0, 20.0], [0])).any()
 
 
 def test_gaussian_limit_pointwise():

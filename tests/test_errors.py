@@ -5,17 +5,18 @@ import math
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import finiten
-from finiten import FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig, run_test
-from finiten.errors import ConfigError, DomainError, check_int, check_seed
-from finiten.harness import (
-    calibrate, check_compare, compare_edf, estimate_rejection, power_boundary, run_grid,
-    sanov_table,
+from finiten import (
+    FiniteNLaw, GridSpec, JacobiBasis, SteinTestConfig, power_boundary, run_test, sanov_table,
 )
+from finiten.errors import ConfigError, DomainError, check_int, check_seed
+from finiten.harness import calibrate, check_compare, compare_edf, estimate_rejection, run_grid
 from operator_reference import jacobi_eval_all, jacobi_psi
 
 # an integer too large for a float
@@ -63,6 +64,15 @@ def test_every_list_input_is_nonempty_and_distinct_where_refused(entry):
     else:  # a repeat gives its result twice
         single = np.ravel(call(repeated[:1]))
         assert np.array_equal(np.ravel(call(repeated)), np.tile(single, 2))
+
+
+@pytest.mark.parametrize("entry", sorted(LIST_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [5.0, "12", np.array(5.0)], ids=["float", "str", "0-d array"])
+def test_every_list_input_refuses_a_scalar_or_a_string(entry, value):
+    # a string is not split into characters, nor a 0-d array iterated
+    call, _, what, _ = LIST_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigError, match=f"^{what} must be a list of values, got "):
+        call(value)
 
 
 def test_grid_spec_rejects_fractional_counts():
@@ -171,6 +181,19 @@ def test_harness_names_are_the_harness_objects_loaded_on_first_use():
         finiten.no_such_name
 
 
+def test_the_large_deviation_tables_load_no_harness():
+    assert finiten.sanov_table is finiten.distribution.sanov_table
+    assert finiten.power_boundary is finiten.distribution.power_boundary
+    # a fresh interpreter, since this one has loaded the harness
+    code = ("import sys, finiten\n"
+            "finiten.sanov_table([5.0], [10])\n"
+            "finiten.power_boundary([5.0], 0.8)\n"
+            "print(sorted({'finiten.harness', 'finiten.edf', 'hashlib'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.stdout == "[]\n", result.stderr
+
+
 # perfbench uses these four, and only a change to the benchmark may remove them
 _USED_BY_THE_BENCHMARK = {"compare_rows_to_csv", "POWER_CSV_HEADER", "COMPARE_CSV_HEADER",
                           "build_parser"}
@@ -202,6 +225,26 @@ def test_every_exported_name_is_used():
         allowed = set(finiten.__all__) | elsewhere | _USED_BY_THE_BENCHMARK
         unused += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
                    if name not in allowed]
+    assert not unused
+
+
+def _imported_names(tree) -> set:
+    """The names a module's import statements bind, but not __future__'s."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    return {(alias.asname or alias.name).partition(".")[0]
+            for node in imports for alias in node.names}
+
+
+def test_every_imported_name_is_used():
+    # an import is read in its module or exported by its __all__
+    unused = []
+    for module in _modules():
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{module.__name__}.{name}" for name in _imported_names(tree)
+                   if name not in read | set(getattr(module, "__all__", ()))]
     assert not unused
 
 

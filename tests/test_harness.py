@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finiten import FiniteNLaw, harness
+from finiten import FiniteNLaw, harness, power_boundary, sanov_table
 from finiten.errors import ConfigError, DomainError
 from finiten.harness import (
     CALIBRATED,
@@ -33,11 +33,9 @@ from finiten.harness import (
     estimate_rejection,
     grid_result_to_csv,
     grid_result_to_json,
-    power_boundary,
     records_to_csv,
     records_to_json,
     run_grid,
-    sanov_table,
 )
 from finiten.edf import _edf_statistics
 from finiten.stein_test import SteinTestConfig, _running_statistics, batch_statistic, standardize
