@@ -269,8 +269,7 @@ def _cmd_test(args) -> int:
 def _cmd_sigma_table(args) -> int:
     # the norms alone: the basis's mode weights can overflow where every sigma_k is finite
     alpha = FiniteNLaw(args.N).alpha
-    norms = _norms(alpha, check_int(args.m, "max_order", 1))
-    sigmas = {k: sigma for k, (sigma, _) in enumerate(norms, 1)}
+    sigmas = dict(enumerate(_norms(alpha, check_int(args.m, "truncation order", 1)), 1))
     csv_text = _csv_text(["k,sigma", *(f"{k},{s:.10g}" for k, s in sigmas.items())])
     with _open_output(args.output) as out:
         # json.dumps writes the int keys of sigmas as strings

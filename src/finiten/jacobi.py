@@ -14,23 +14,24 @@ has zero expectation under the law for smooth f. Its rescaled form on
 -2k * P_k^(a,a), which makes the images mutually orthogonal with norms
 sigma_k, finite products of square roots. Dividing by sigma_k yields
 the orthonormal functions psi_k used by the goodness-of-fit statistic.
-The operator only justifies the basis: the statistic needs the
-recurrence and the norms.
+The operator only justifies the basis and gives the norms sigma_k that
+``finiten sigma-table`` prints: the statistic needs only the recurrence.
 
 The statistic steps no symmetric recurrence: by Szegő 4.1.5 (DLMF
-18.7.13-14), P_k^(a,a)(y) = c_k y^(k%2) P_{k//2}^(a, k%2 - 1/2)(2y^2 - 1),
-so half as many steps of the general recurrence in w = 2y^2 give every
-mode of one parity, with c_k folded into the basis's mode weights. The
-recurrence steps the monic rows Q_j = P_j / lambda_j, lambda_j the leading
-coefficient in w, in four array passes a step; lambda_j is folded into
-the mode weights too, which raise DomainError past the float range.
+18.7.13-14), P_k^(a,a)(y) is a constant times
+y^(k%2) P_{k//2}^(a, k%2 - 1/2)(2y^2 - 1), so half as many steps of the
+general recurrence in w = 2y^2 give every mode of one parity. The
+recurrence steps the monic rows Q_j in w, in four array passes a step,
+and its couplings e_j give the mode weights too: in x = sqrt(N) y, where
+the law has unit variance, x^(k%2) Q_j has squared norm e_1 ... e_j
+(Gautschi, Orthogonal Polynomials, 2004, §1.3), so psi_k is
+-x^(k%2) Q_j / sqrt(e_1 ... e_j), j = k // 2. Rows and weights come
+from one recurrence; a weight past the float range raises DomainError.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ __all__ = [
 
 
 def _monic_steps(alpha: float, beta: float, count: int):
-    """Yield (c1_k, d_k / c1_k, c2_k / (c1_k c1_{k-1})) for k = 0 .. count - 1,
-    count >= 1.
+    """Yield the shift d_k / c1_k and the coupling e_k = c2_k / (c1_k c1_{k-1})
+    of the monic rows for k = 0 .. count - 1, count >= 1.
 
     These are the coefficients of DLMF 18.9.2 in w, with A = alpha + beta
     and s = 2k + A:
@@ -56,20 +57,20 @@ def _monic_steps(alpha: float, beta: float, count: int):
     d = (s+1)(4k^2 + 4k(A+1) + 2A(1+beta)), each over 2(k+1)(k+A+1)s. The
     s of c1 cancels, so no product of three terms of size N overflows
     before sigma_4 does (N ~ 1e154). Step 0 is P_1 = (A + 2) w / 2 - beta -
-    1, whose s may be 0, so it is written out; its third value is unused.
+    1, whose s may be 0, so it is written out; its coupling is unused.
     In z = w - 1, the constant would be c1 less a term of the same size
     alpha, which loses log10(alpha) digits where w ~ 1/N. For alpha > 0 and
     A > -1/2.
     """
     A = alpha + beta
     c1 = 0.5 * (A + 2.0)
-    yield c1, (beta + 1.0) / c1, 0.0
+    yield (beta + 1.0) / c1, 0.0
     for k in range(1, count):
         s = 2.0 * k + A
         c1, last = (s + 1.0) * (s + 2.0) / (2.0 * (k + 1) * (k + A + 1.0)), c1
         shift = (4.0 * k * k + 4.0 * k * (A + 1.0) + 2.0 * A * (1.0 + beta)) / ((s + 2.0) * s)
         c2 = (k + alpha) * (k + beta) * (s + 2.0) / ((k + 1) * (k + A + 1.0) * s)
-        yield c1, shift, c2 / (c1 * last)
+        yield shift, c2 / (c1 * last)
 
 
 def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers):
@@ -82,7 +83,8 @@ def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers):
         Q_{k+1} = (w - d_k / c1_k) Q_k - c2_k / (c1_k c1_{k-1}) Q_{k-1},
 
     four array passes a step: subtract, multiply, scale the row before last
-    in place, subtract. The basis folds lambda_k into its mode weights.
+    in place, subtract. The coupling e_k is ||Q_k||^2 / ||Q_{k-1}||^2, so the
+    same steps give the basis its mode weights.
 
     Q_0 is yielded as the scalar 1.0, so step 1's scaled Q_0 is a scalar.
     Rows 1 .. k_max are written into ``buffers``, three arrays shaped like
@@ -95,10 +97,10 @@ def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers):
         return
     cur, row, spare = buffers
     steps = _monic_steps(alpha, beta, k_max)
-    np.subtract(w, next(steps)[1], out=cur)
+    np.subtract(w, next(steps)[0], out=cur)
     yield cur
     prev = 1.0
-    for k, (_, shift, coupling) in enumerate(steps, 1):
+    for k, (shift, coupling) in enumerate(steps, 1):
         np.subtract(w, shift, out=row)
         row *= cur
         prev *= coupling
@@ -110,7 +112,7 @@ def jacobi_rows(alpha: float, beta: float, k_max: int, w: np.ndarray, buffers):
 
 
 def _norms(a: float, m: int):
-    """Yield (sigma_k, v_k) for k = 1 .. m at alpha = a > 0.
+    """Yield sigma_k for k = 1 .. m at alpha = a > 0.
 
     sigma_k, the norm of the k-th operator image, is the finite product
 
@@ -118,24 +120,15 @@ def _norms(a: float, m: int):
 
     to which the duplication formula (DLMF 5.5.5) reduces its Gamma
     closed form: positive and strictly increasing in k for every a > 0.
-    DomainError when it exceeds the float range. The mode weight v_k gives
-    psi_k(y) = v_k y^(k%2) P_j^(a, k%2 - 1/2)(2y^2 - 1), j = k // 2: it is
-    -(2k / sigma_k) ((a+1)_k / k!) / ((a+1)_j / j!), matching both sides at
-    y = 1. The factors a + i cancel, which leaves a running product of size
-    about (2a)^(k%2) and one square root per mode:
-
-        v_k^2 = (2k+2a+1)/(2a+1) * prod_{i<=k} (2a+i)/i * prod_{i<=j} (i/(a+i))^2
+    DomainError when it exceeds the float range.
     """
-    product, square = 1.0, 1.0
+    product = 1.0
     for k in range(1, m + 1):
         product *= (a + k) / math.sqrt(k * (2.0 * a + k))
         sigma = 2.0 * k * math.sqrt((2.0 * a + 1.0) / (2.0 * k + 2.0 * a + 1.0)) * product
         if math.isinf(sigma):
             raise DomainError(f"sigma_{k} at alpha={a!r} exceeds the float range")
-        square *= (2.0 * a + k) / k
-        if k % 2 == 0:
-            square *= ((k // 2) / (a + k // 2)) ** 2
-        yield sigma, -math.sqrt((2.0 * k + 2.0 * a + 1.0) / (2.0 * a + 1.0) * square)
+        yield sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +136,13 @@ class JacobiBasis:
     """Orthonormal test-function family psi_1 .. psi_max_order.
 
     psi_k(y) = -(2k / sigma_k) P_k^(a,a)(y); under the rescaled law these
-    have zero mean, unit variance, and vanishing cross-correlations. The
-    norms sigma_k and the mode weights v_k each come from one product.
-    ``weights`` holds v_k lambda_j, j = k // 2, with lambda_j the leading
-    coefficient of P_j^(a, k%2 - 1/2) in w, so that psi_k(y) = weights[k-1]
-    y^(k%2) Q_j(2y^2) for the monic rows Q_j of :func:`jacobi_rows`. It
-    raises DomainError where a weight exceeds the float range.
+    have zero mean, unit variance, and vanishing cross-correlations.
+    ``sigmas`` holds the norms sigma_k. ``weights`` holds the inverse
+    norms, negated, in x = sqrt(N) y: psi_k = weights[k-1] x^(k%2) Q_j(2y^2),
+    j = k // 2, for the monic rows Q_j of :func:`jacobi_rows`, with
+    weights[k-1] = -1/sqrt(e_1 ... e_j) from the couplings e_i of the
+    same recurrence. It raises DomainError where a weight leaves the float
+    range.
     """
 
     alpha: float
@@ -162,16 +156,18 @@ class JacobiBasis:
         if a <= 0.0:
             raise DomainError(f"alpha must be a finite real > 0, got {a!r}")
         m = check_int(max_order, "max_order", 1)
-        sigmas, v = zip(*_norms(a, m))
-        # lambda_0 .. lambda_{m//2 + 1} of each parity; a product of Python
-        # floats overflows to inf without a warning
-        c1 = [[step[0] for step in _monic_steps(a, odd - 0.5, m // 2 + 1)] for odd in (0, 1)]
-        leading = [list(itertools.accumulate(c, operator.mul, initial=1.0)) for c in c1]
-        weights = [v_k * leading[k % 2][k // 2] for k, v_k in enumerate(v, 1)]
-        for k, weight in enumerate(weights, 1):
+        sigmas = np.fromiter(_norms(a, m), float, m)
+        weights = np.empty(m + 1)  # weights[0], of the constant Q_0, is dropped
+        for odd in (0, 1):
+            weight = -1.0
+            for j, (_, coupling) in enumerate(_monic_steps(a, odd - 0.5, (m - odd) // 2 + 1)):
+                if j:  # a coupling that underflows to 0 leaves the range too
+                    weight = weight / math.sqrt(coupling) if coupling else -math.inf
+                weights[2 * j + odd] = weight
+        for k, weight in enumerate(weights[1:].tolist(), 1):
             if not math.isfinite(weight):
                 raise DomainError(f"mode weight {k} at alpha={a!r} exceeds the float range")
-        return cls(alpha=a, max_order=m, sigmas=np.array(sigmas), weights=np.array(weights))
+        return cls(alpha=a, max_order=m, sigmas=sigmas, weights=weights[1:])
 
     @classmethod
     def for_system(cls, N: float, max_order: int) -> "JacobiBasis":

@@ -238,15 +238,15 @@ def _mode_coefficients(x: np.ndarray, config: SteinTestConfig, work) -> np.ndarr
     """mu_k of every row of a (reps, n) matrix, as a (dof, reps) matrix in
     mode order: the one kernel behind every coefficient and statistic, with
     one float64 pass of the recurrence per parity (beta = -1/2 for even
-    modes; +1/2, times y, for odd). Sums are weighted after reduction. Its
+    modes; +1/2, times x, for odd). Sums are weighted after reduction. Its
     scratch is buffers 0 to 4 of ``work``, a :class:`Workspace`."""
     w = np.multiply(x, x, out=work(0, x.shape))
     w *= 2.0 / config.N
     rows = [work(i, x.shape) for i in (1, 2, 3)]
     mu = np.empty((config.dof, x.shape[0]))
+    root = math.sqrt(x.shape[1])
     for odd in {k % 2 for k in config.modes}:
         row_of = {k // 2: i for i, k in enumerate(config.modes) if k % 2 == odd}
-        root = math.sqrt(x.shape[1] * config.N**odd)  # odd terms carry y = x / sqrt(N)
         for j, p in enumerate(jacobi_rows(config.basis.alpha, odd - 0.5, max(row_of), w, rows)):
             if j in row_of:
                 total = (np.multiply(x, p, out=work(4, x.shape)) if odd else p).sum(axis=-1)

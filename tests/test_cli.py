@@ -222,6 +222,15 @@ def test_sigma_table_reports_sigma_overflow_in_one_line():
     ]
 
 
+def test_sigma_table_names_the_truncation_order():
+    result = run_cli("sigma-table", "--N", "5", "--m", "0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "finiten: error: truncation order must be an integer >= 1, got 0"
+    ]
+
+
 def test_dist_queries():
     result = run_cli("dist", "--N", "5", "--x", "0,1", "--p", "0.5,0.975")
     assert result.returncode == 0

@@ -213,6 +213,26 @@ def test_sigma_past_float_range_raises_domain_error():
     assert math.isfinite(sigma_k((1e8 - 3.0) / 2.0, 30))
 
 
+@pytest.mark.parametrize("N", [3.01, 3.5, 5.0, 10.0, 20.0, 100.0, 1e4, 1e8])
+def test_mode_weights_are_the_exact_inverse_norms(N):
+    # the law has unit variance in x, so ||x^(k%2) Q_j||^2 = e_1 ... e_j for
+    # the couplings e_i of the monic P^(a, k%2 - 1/2) (Gautschi 2004, Table
+    # 1.1), which the steps of the recurrence compute as c2_i / (c1_i c1_{i-1})
+    mpmath = pytest.importorskip("mpmath")
+    a = (N - 3.0) / 2.0
+    weights = JacobiBasis.build(a, 30).weights
+    with mpmath.workdps(50):
+        for odd in (0, 1):
+            alpha, beta, norm = mpmath.mpf(a), mpmath.mpf(odd) - 0.5, mpmath.mpf(1)
+            for j in range(1 - odd, 16 - odd):
+                s = 2 * j + alpha + beta
+                if j:
+                    norm *= 4 * j * (j + alpha) * (j + beta) * (j + alpha + beta) / (
+                        s * s * (s + 1) * (s - 1))
+                want = -1 / mpmath.sqrt(norm)
+                assert abs(weights[2 * j + odd - 1] / want - 1) <= 2e-15, (odd, j)
+
+
 def test_basis_construction():
     basis = JacobiBasis.for_system(5.0, 10)
     assert basis.alpha == 1.0

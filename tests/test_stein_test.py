@@ -165,9 +165,21 @@ def test_coefficients_match_orthonormal_recurrence(N):
     assert np.all(np.abs(coef - psi) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("N", [3.01, 3.5, 5.0, 20.0, 100.0, 1e4])
+def test_mode_kernel_is_orthonormal_under_gauss_jacobi_quadrature(N):
+    # 32 Gauss-Jacobi nodes integrate every psi_k psi_l, of degree <= 60,
+    # exactly against (1 - y^2)^a, so this checks rows and weights together
+    a = (N - 3.0) / 2.0
+    y, q = special.roots_jacobi(32, a, a)
+    config = SteinTestConfig(N=N, m=30, modes=tuple(range(1, 31)))
+    psi = _mode_coefficients(math.sqrt(N) * y[:, None], config, Workspace())
+    gram = (psi * (q / q.sum())) @ psi.T
+    assert np.abs(gram - np.eye(30)).max() <= 1e-12
+
+
 def test_folded_mode_weights_are_finite_or_raise():
-    # the basis folds the leading coefficient lambda_j of each monic row,
-    # about (N/4)^j / j!, into its mode weights: finite at N = 1e8 up to
+    # mode weight k is 1/sqrt(e_1 ... e_j), j = k // 2, from the couplings
+    # e_i, about 1/N^2 each, of the monic rows: finite at N = 1e8 up to
     # m = 30, and at N = 1e105 for m = 4, where no recurrence coefficient
     # may overflow on the way; T matches the long-double recurrence
     for N, m in ((1e8, 30), (1e105, 4)):
@@ -471,52 +483,52 @@ def test_rejection_rates_across_seeds():
 _PIN_SAMPLE = (np.arange(1, 200) * 61 % 199) / 199.0 * 1.8 - 0.9
 PINNED_RUN_TEST = {
     (5.0, True): (
-        ((14.189735243227263, 0.00016526963216558584), (20.406653862725943, 0.0004150480963088802),
-         (25.646394609488148, 0.028697147267254558)),
-        (3.7669264982512285, 1.0495259317728383, -1.8585954748330618, -1.2888121658973815,
-         0.8743360731064151, 1.2590637980149235, -0.23154907369739777, -1.084428159760007,
-         -0.20341379449217192, 0.8265812927372739, 0.4757695036329769, -0.5310852298001644,
-         -0.6096115029368453, 0.2361948171315104),
+        ((14.18973524322727, 0.00016526963216558543), (20.406653862725946, 0.0004150480963088795),
+         (25.64639460948815, 0.02869714726725453)),
+        (3.7669264982512294, 1.0495259317728383, -1.8585954748330615, -1.2888121658973812,
+         0.874336073106415, 1.2590637980149233, -0.23154907369739777, -1.0844281597600067,
+         -0.2034137944921719, 0.8265812927372737, 0.4757695036329768, -0.5310852298001644,
+         -0.6096115029368452, 0.23619481713151036),
     ),
     (5.0, False): (
-        ((14.641001030196824, 0.00013005411530523384), (20.35298069953072, 0.0004253161201021923),
-         (25.915623917341495, 0.026533501417621005)),
-        (3.8263561034222655, 0.7416914136897307, -2.0206740310312834, -1.0386288925832012,
-         1.1241895170976075, 1.0985325569474558, -0.5383540061725627, -1.0346407686948518,
-         0.12064916873127755, 0.8940512537323578, 0.17694226680170097, -0.7066737644931315,
-         -0.3753135413602562, 0.49630667618866764),
+        ((14.641001030196833, 0.0001300541153052332), (20.352980699530725, 0.0004253161201021911),
+         (25.915623917341502, 0.026533501417620953)),
+        (3.826356103422267, 0.7416914136897308, -2.020674031031283, -1.038628892583201,
+         1.1241895170976073, 1.0985325569474556, -0.5383540061725627, -1.0346407686948516,
+         0.12064916873127753, 0.8940512537323576, 0.17694226680170097, -0.7066737644931314,
+         -0.37531354136025613, 0.4963066761886675),
     ),
     (20.0, True): (
-        ((16.191679058633245, 5.724501543638813e-05), (30.264684211711376, 4.323194236193134e-06),
-         (45.18714884082415, 3.8036340855118165e-05)),
-        (4.023888549479626, -3.344620548306697, 0.7531194836849119, 1.5229345305090818,
-         -2.2718531419777173, 1.4670388264079581, 0.0664422344298776, -1.2888547022573063,
-         1.544676484662738, -0.8431649894361741, -0.26341961958060023, 1.0738271785006162,
-         -1.1531365529878301, 0.542413810092757),
+        ((16.19167905863325, 5.724501543638782e-05), (30.264684211711387, 4.323194236193111e-06),
+         (45.187148840824186, 3.8036340855117683e-05)),
+        (4.023888549479627, -3.3446205483066973, 0.753119483684912, 1.5229345305090818,
+         -2.2718531419777177, 1.4670388264079586, 0.06644223442987761, -1.288854702257307,
+         1.5446764846627392, -0.8431649894361747, -0.26341961958060045, 1.073827178500617,
+         -1.1531365529878308, 0.5424138100927575),
     ),
     (20.0, False): (
-        ((14.936295111504887, 0.00011120288956991031), (29.29433574602961, 6.811637993905439e-06),
-         (44.32217583199138, 5.252102683842525e-05)),
-        (3.8647503297761534, -3.4157945095135216, 0.9781176388433642, 1.3166906956022304,
-         -2.2272099460513792, 1.6094883860939453, -0.16500778115891718, -1.1201221362099683,
-         1.5459250898188444, -1.0118305064398085, -0.03472950027267466, 0.9281894690510523,
-         -1.1803580802778415, 0.724809992972246),
+        ((14.93629511150489, 0.00011120288956991003), (29.294335746029617, 6.811637993905413e-06),
+         (44.322175831991416, 5.2521026838424584e-05)),
+        (3.864750329776154, -3.415794509513522, 0.9781176388433644, 1.3166906956022304,
+         -2.2272099460513797, 1.6094883860939457, -0.1650077811589172, -1.120122136209969,
+         1.5459250898188452, -1.0118305064398092, -0.034729500272674685, 0.928189469051053,
+         -1.1803580802778424, 0.7248099929722466),
     ),
     (1e4, True): (
-        ((11.950758463699698, 0.0005462513920793333), (32.68214347788582, 1.3875180780580205e-06),
-         (43.68039086359497, 6.664132454519744e-05)),
-        (3.45698690534108, -3.6057970447003678, 2.527344079656599, -1.1585096415830822,
-         -0.06056114144408743, 0.9488088705940324, -1.4662242265373417, 1.6471462969676878,
-         -1.5605965281321061, 1.2865309324302425, -0.9020297017738379, 0.4738544734902604,
-         -0.05509975022758473, -0.3155662588378795),
+        ((11.950758463699698, 0.0005462513920793333), (32.682143477885816, 1.3875180780580253e-06),
+         (43.68039086359496, 6.66413245451978e-05)),
+        (3.45698690534108, -3.6057970447003673, 2.527344079656598, -1.1585096415830816,
+         -0.060561141444087425, 0.948808870594032, -1.4662242265373406, 1.647146296967687,
+         -1.5605965281321055, 1.2865309324302425, -0.9020297017738376, 0.4738544734902604,
+         -0.055099750227584746, -0.3155662588378795),
     ),
     (1e4, False): (
-        ((10.749778735805302, 0.0010429178748052191), (31.982304356036153, 1.929095284297171e-06),
-         (42.65791849763178, 9.715461884000266e-05)),
-        (3.2786855195040134, -3.565836060996297, 2.607139906362081, -1.3115488229507835,
-         0.11649990257320192, 0.7881836164463849, -1.3495419492202274, 1.58872725489961,
-         -1.5633667027669125, 1.3446928311510156, -1.0039233875615083, 0.6046136420194205,
-         -0.19889654270219267, -0.1737723266763419),
+        ((10.749778735805302, 0.0010429178748052191), (31.982304356036142, 1.9290952842971812e-06),
+         (42.657918497631755, 9.715461884000356e-05)),
+        (3.2786855195040134, -3.5658360609962965, 2.6071399063620797, -1.3115488229507826,
+         0.11649990257320188, 0.7881836164463847, -1.3495419492202265, 1.5887272548996096,
+         -1.563366702766912, 1.3446928311510156, -1.0039233875615081, 0.6046136420194205,
+         -0.1988965427021927, -0.17377232667634193),
     ),
 }
 
