@@ -144,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run the goodness-of-fit test on a sample")
     p.add_argument("--input", default="-", help="path of whitespace-separated numbers, or - for stdin")
     p.add_argument("--N", type=float, required=True)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=SteinTestConfig.m)
     p.add_argument("--modes", type=_modes_list, default=None,
                    help="comma list of modes, or 'even' for {4,6,..,m}")
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=float, default=SteinTestConfig.level)
     p.add_argument("--cutoff", default=THEORETICAL,
                    help="'theoretical', 'calibrated', or a finite positive number")
     p.add_argument("--reps", type=int, default=5_000,
@@ -173,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "test --cutoff VALUE (with --no-standardize on both, of the raw statistic)")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=SteinTestConfig.m)
     p.add_argument("--modes", type=_modes_list, default=None)
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=float, default=SteinTestConfig.level)
     p.add_argument("--reps", type=int, default=None,
                    help="replications (default: the reference protocol's calibration count)")
     p.add_argument("--seed", type=int, default=None)
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-values", type=_int_list, default=None)
     p.add_argument("--full-grid", action="store_true",
                    help="use the full reference grid (N 5..20, n 10..500)")
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=float, default=SteinTestConfig.level)
     p.add_argument("--calib-reps", type=int, default=None)
     p.add_argument("--eval-reps", type=int, default=None)
     p.add_argument("--full-reps", action="store_true",
@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="calibrated power: targeted test vs EDF baselines")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--n-values", type=_int_list, default=[1000, 2000, 5000])
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=SteinTestConfig.m)
     p.add_argument("--reps", type=int, default=2_000)
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=float, default=SteinTestConfig.level)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-standardize", dest="standardize", action="store_false")
     _workers_option(p)
@@ -375,7 +375,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_compare(args) -> int:
     from . import harness
-    harness.check_compare(args.N, args.n_values, args.m, args.reps, args.level)
+    harness.check_compare(args.N, args.n_values, args.m, args.reps, args.level, args.standardize)
     check_int(args.workers, "workers", 1)
     seed = _resolve_seed(args.seed)
     with _open_output(args.output) as out:

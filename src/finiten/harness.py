@@ -191,7 +191,7 @@ class GridSpec:
     N_values: tuple[float, ...] = tuple(float(N) for N in range(5, 21))
     n_values: tuple[int, ...] = tuple(range(10, 201, 10)) + tuple(range(250, 501, 50))
     m_values: tuple[int, ...] = (4, 6, 8, 10)
-    level: float = 0.05
+    level: float = SteinTestConfig.level
     calib_reps: int = 50_000
     eval_reps: int = 20_000
     master_seed: int = 0
@@ -278,10 +278,11 @@ def empirical_cutoff(stats, level: float) -> float:
 
 def check_calibration(n: int, config: SteinTestConfig, reps: int, standardize_first=False):
     """The checks of :func:`calibrate`, for a caller to run before it draws a
-    seed: n and reps as ints; n >= 2 and no mode 1 or 2 when standardising."""
+    seed: n and reps as ints; n >= 3 and no mode 1 or 2 when standardising,
+    since every standardised pair is (-1, 1), whose T is one constant."""
     if standardize_first:
         _check_standardizable(config)
-    return (check_int(n, "sample size", 2 if standardize_first else 1),
+    return (check_int(n, "sample size", 3 if standardize_first else 1),
             check_int(reps, "calibration replications", MIN_CALIB_REPS))
 
 
@@ -465,13 +466,14 @@ def _compare_kernel(x, config, work) -> np.ndarray:
     return np.vstack([stein, *_edf_statistics(x, config.law, work)])
 
 
-def check_compare(N: float, n_values, m: int, reps: int, level: float):
+def check_compare(N: float, n_values, m: int, reps: int, level: float, standardize_first=True):
     """The checks of :func:`compare_edf`, for a caller to run before it draws a
-    seed: its config, reps, and a nonempty set of distinct sample sizes n >= 2."""
+    seed: its config, reps, and a nonempty set of distinct sample sizes n >= 3,
+    or n >= 2 without standardising (see :func:`check_calibration`)."""
     config = SteinTestConfig(N=N, m=m, level=level)
     reps = check_int(reps, "comparison replications", MIN_CALIB_REPS)
-    n_values = check_values(n_values, "n_values",
-                            lambda n: check_int(n, "comparison sample size", 2))
+    n_values = check_values(n_values, "n_values", lambda n: check_int(
+        n, "comparison sample size", 3 if standardize_first else 2))
     return config, n_values, reps
 
 
@@ -490,10 +492,10 @@ def _compare_phase(unit) -> np.ndarray:
 def compare_edf(
     N: float,
     n_values,
-    m: int = 4,
+    m: int = SteinTestConfig.m,
     reps: int = 2_000,
     seed: int = 0,
-    level: float = 0.05,
+    level: float = SteinTestConfig.level,
     standardize_first: bool = True,
     workers: int = 1,
 ) -> list[CompareRow]:
@@ -506,7 +508,7 @@ def compare_edf(
     :func:`_run_units`, on at most ``workers`` processes; cutoffs and
     rates are taken in n order, so rows are the same for any worker count.
     """
-    config, n_values, reps = check_compare(N, n_values, m, reps, level)
+    config, n_values, reps = check_compare(N, n_values, m, reps, level, standardize_first)
     config.law.cdf(0.0)  # imports scipy.special where the CDF needs it, before any fork
     units = [(config, n, reps, seed, standardize_first, phase)
              for n in n_values for phase in _COMPARE_PHASES]

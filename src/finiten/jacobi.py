@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_N, check_real
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "jacobi_rows",
@@ -133,7 +133,7 @@ def _norms(a: float, m: int):
 
 @dataclass(frozen=True, eq=False)
 class JacobiBasis:
-    """Orthonormal test-function family psi_1 .. psi_max_order.
+    """Orthonormal test-function family psi_1 .. psi_max_order at alpha = FiniteNLaw(N).alpha.
 
     psi_k(y) = -(2k / sigma_k) P_k^(a,a)(y); under the rescaled law these
     have zero mean, unit variance, and vanishing cross-correlations.
@@ -168,8 +168,3 @@ class JacobiBasis:
             if not math.isfinite(weight):
                 raise DomainError(f"mode weight {k} at alpha={a!r} exceeds the float range")
         return cls(alpha=a, max_order=m, sigmas=sigmas, weights=weights[1:])
-
-    @classmethod
-    def for_system(cls, N: float, max_order: int) -> "JacobiBasis":
-        """Basis matching the law with effective particle number N."""
-        return cls.build((check_N(N) - 3.0) / 2.0, max_order)

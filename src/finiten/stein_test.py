@@ -322,9 +322,10 @@ def run_test(
     Location and scale are treated as nuisance parameters: the sample is
     standardised, then rescaled by sqrt(N), then projected onto the mode
     set. Standardising changes the null law of T, so the asymptotic
-    chi-squared cutoff and p-value do not hold the level on this path: at
-    small N the test rejects too often (Monte Carlo size about 0.12 at
-    N = 5, m = 4, n = 500, level 0.05). Pass a cutoff from
+    chi-squared cutoff and p-value do not hold the level on this path, and
+    the miss does not shrink with n: at N = 5, m = 4, level 0.05 the Monte
+    Carlo size is 0.126 at n = 500 and 0.121 at n = 2,000, against a
+    predicted limit of 0.1246; it is about 0.050 at N = 100. Pass a cutoff from
     ``calibrate(n, config, reps, seed, standardize_first=True)`` (``finiten
     calibrate``, or ``test --cutoff calibrated``), which runs this same
     pipeline under the null; the default ``calibrate``, like ``finiten
@@ -332,9 +333,9 @@ def run_test(
     --cutoff <value>``. For data aligned by
     construction (e.g. simulation draws) pass ``standardize_first=False``
     (``--no-standardize`` in the CLI). The chi-squared cutoff is close to
-    its level there near m = 4, but misses it for m >= 6 at small N or n
-    (Monte Carlo size 0.0668 at N = 5, n = 20, m = 10 and 0.0386 at
-    N = 20, n = 10, m = 6, level 0.05); calibrate with
+    its level there near m = 4, but can miss it for m >= 6 (Monte Carlo
+    size 0.0668 at N = 5, n = 20, m = 10, 0.0604 at N = 10, n = 500,
+    m = 10 and 0.0386 at N = 20, n = 10, m = 6, level 0.05); calibrate with
     ``standardize_first=False`` (``--cutoff calibrated``) for an exact level.
 
     Standardising zeroes mu_1 and mu_2, so on that path a mode set with

@@ -151,7 +151,7 @@ def test_criterion_05_ode_residual():
 def test_criterion_06_gram_matrix():
     start = time.perf_counter()
     law = FiniteNLaw(5)
-    basis = JacobiBasis.for_system(5.0, 10)
+    basis = JacobiBasis.build(FiniteNLaw(5.0).alpha, 10)
     # Each entry's Monte Carlo error is about 1/sqrt(draws) times the spread
     # of psi_j psi_k, so 2,000,000 draws put the 0.02 bound several errors
     # out; the long-double psi rows are formed 200,000 draws at a time.

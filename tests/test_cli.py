@@ -186,6 +186,25 @@ def test_bad_calibration_counts_fail_before_a_seed_is_drawn(command, tmp_path, c
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--N", "5", "--n", "2", "--reps", "1000"],
+    ["test", "--N", "5", "--cutoff", "calibrated", "--reps", "1000", "--input", "{two}"],
+    ["compare", "--N", "5", "--n-values", "2", "--reps", "1000", "--workers", "1"],
+], ids=lambda command: command[0])
+def test_two_points_exit_two_where_standardising_calibrates(command, tmp_path, capsys):
+    # a standardised pair is always (-1, 1): its T is one constant, so no
+    # seed is drawn for a cutoff or power read from rounding noise
+    two = tmp_path / "two.txt"
+    two.write_text("0.3 -1.2\n")
+    argv = [arg.format(two=two) for arg in command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.endswith("sample size must be an integer >= 3, got 2\n")
+    assert cli.main([*argv, "--no-standardize", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sigma_table_matches_reference_values():
     result = run_cli("sigma-table", "--N", "5", "--m", "10")
     assert result.returncode == 0
@@ -210,7 +229,8 @@ def test_sigma_table_needs_only_the_norms():
     result = run_cli("sigma-table", "--N", "1e8", "--m", "30", "--format", "json")
     assert result.returncode == 0
     sigmas = json.loads(result.stdout)["sigma"]
-    assert [sigmas[str(k)] for k in range(1, 31)] == JacobiBasis.for_system(1e8, 30).sigmas.tolist()
+    basis = JacobiBasis.build(FiniteNLaw(1e8).alpha, 30)
+    assert [sigmas[str(k)] for k in range(1, 31)] == basis.sigmas.tolist()
 
 
 def test_sigma_table_reports_sigma_overflow_in_one_line():

@@ -24,7 +24,6 @@ _HUGE = pytest.param(10**400, id="10**400")
 
 N_ENTRY_POINTS = {
     "FiniteNLaw": FiniteNLaw,
-    "JacobiBasis.for_system": lambda N: JacobiBasis.for_system(N, 4),
     "SteinTestConfig": lambda N: SteinTestConfig(N=N),
     "GridSpec": lambda N: GridSpec(N_values=(5.0, N)),
 }
@@ -194,9 +193,65 @@ def test_the_large_deviation_tables_load_no_harness():
     assert result.stdout == "[]\n", result.stderr
 
 
-# perfbench uses these four, and only a change to the benchmark may remove them
-_USED_BY_THE_BENCHMARK = {"compare_rows_to_csv", "POWER_CSV_HEADER", "COMPARE_CSV_HEADER",
-                          "build_parser"}
+# Every name that perfbench/ imports or wraps, as (module, attribute path; ""
+# for the module itself). Only a change to the benchmark may remove or rename
+# one (ROADMAP item 26), and its traced runs read a missing one as zero.
+_BENCHMARK_PINS = [
+    ("finiten", "SteinTestConfig"),
+    ("finiten", "run_test"),
+    ("finiten.cli", "main"),
+    ("finiten.cli", "build_parser"),
+    ("finiten.distribution", "FiniteNLaw"),
+    ("finiten.distribution", "FiniteNLaw.sample"),
+    ("finiten.distribution", "FiniteNLaw.sample_gaussian_alternative"),
+    ("finiten.distribution", "FiniteNLaw.cdf"),
+    ("finiten.edf", ""),
+    ("finiten.harness", "ReplicationStreams.rng"),
+    ("finiten.harness", "GridSpec"),
+    ("finiten.harness", "run_grid"),
+    ("finiten.harness", "calibrate"),
+    ("finiten.harness", "estimate_rejection"),
+    ("finiten.harness", "empirical_cutoff"),
+    ("finiten.harness", "compare_edf"),
+    ("finiten.harness", "compare_rows_to_csv"),
+    ("finiten.harness", "grid_result_to_csv"),
+    ("finiten.harness", "POWER_CSV_HEADER"),
+    ("finiten.harness", "COMPARE_CSV_HEADER"),
+    ("finiten.jacobi", "JacobiBasis.build"),
+    ("finiten.stein_test", "SteinTestConfig"),
+    ("finiten.stein_test", "SteinTestConfig.build_basis"),
+    ("finiten.stein_test", "SteinTestConfig.theoretical_cutoff"),
+    ("finiten.stein_test", "batch_statistic"),
+    ("finiten.stein_test", "run_test"),
+]
+
+# the calls perfbench makes with keywords, bound to each pinned signature
+_BENCHMARK_CALLS = {
+    "finiten.harness.run_grid": ((GridSpec(),), {"workers": 1, "on_cell": None}),
+    "finiten.harness.compare_edf": (
+        (5.0, [1000]), {"m": 4, "reps": 1000, "seed": 0, "level": 0.05}),
+    "finiten.harness.GridSpec": ((), dict.fromkeys(
+        ["N_values", "n_values", "m_values", "level", "calib_reps", "eval_reps", "master_seed"])),
+    "finiten.stein_test.SteinTestConfig": ((), {"N": 5.0, "m": 4, "level": 0.05}),
+}
+
+
+@pytest.mark.parametrize("module,path", _BENCHMARK_PINS, ids=lambda v: v or "module")
+def test_every_name_the_benchmark_reads_exists(module, path):
+    where = f"{module}.{path}".rstrip(".")
+    failure = f"perfbench reads {where}: keep it until the benchmark changes (ROADMAP item 26)"
+    try:
+        target = importlib.import_module(module)
+        for attr in filter(None, path.split(".")):
+            target = getattr(target, attr)
+    except (ImportError, AttributeError):
+        pytest.fail(failure)
+    if where in _BENCHMARK_CALLS:
+        args, kwargs = _BENCHMARK_CALLS[where]
+        try:
+            inspect.signature(target).bind(*args, **kwargs)
+        except TypeError as exc:
+            pytest.fail(f"{failure}; its call no longer binds: {exc}")
 
 
 def _loaded_names(path) -> set:
@@ -222,7 +277,8 @@ def test_every_exported_name_is_used():
     for module in _modules()[1:]:
         stem = module.__name__.rpartition(".")[2]
         elsewhere = set().union(*(names for other, names in loaded.items() if other != stem))
-        allowed = set(finiten.__all__) | elsewhere | _USED_BY_THE_BENCHMARK
+        pinned = {path for where, path in _BENCHMARK_PINS if where == module.__name__}
+        allowed = set(finiten.__all__) | elsewhere | pinned
         unused += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
                    if name not in allowed]
     assert not unused

@@ -658,6 +658,26 @@ def test_compare_edf_validates_every_n_before_simulating(monkeypatch):
         compare_edf(20.0, [], reps=1000)
 
 
+def test_standardised_calibration_refuses_two_points_before_any_draw(monkeypatch):
+    # every standardised pair is (-1, 1), so its T is one constant plus rounding
+    def no_streams(self, rep):
+        raise AssertionError("a replication stream was built")
+
+    config = SteinTestConfig(N=5, m=4)
+    monkeypatch.setattr(ReplicationStreams, "rng", no_streams)
+    with pytest.raises(ConfigError, match="^sample size must be an integer >= 3, got 2$"):
+        calibrate(2, config, 1000, 1, standardize_first=True)
+    with pytest.raises(ConfigError,
+                       match="^comparison sample size must be an integer >= 3, got 2$"):
+        compare_edf(5.0, [50, 2], reps=1000)
+    monkeypatch.undo()
+    # the raw paths keep their floors, and three points run on both paths
+    for n, standardize_first in ((2, False), (3, True)):
+        assert math.isfinite(calibrate(n, config, 1000, 1, standardize_first=standardize_first))
+        rows = compare_edf(5.0, [n], reps=1000, seed=1, standardize_first=standardize_first)
+        assert [row.n for row in rows] == [n] * 4
+
+
 def test_compare_pipeline_controls_size():
     # each test holds its own calibrated level on fresh null draws
     N, n, reps, level = 5.0, 100, 2_000, 0.05

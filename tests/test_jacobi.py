@@ -234,14 +234,14 @@ def test_mode_weights_are_the_exact_inverse_norms(N):
 
 
 def test_basis_construction():
-    basis = JacobiBasis.for_system(5.0, 10)
+    basis = JacobiBasis.build(FiniteNLaw(5.0).alpha, 10)
     assert basis.alpha == 1.0
     assert basis.max_order == 10
     assert np.all(np.diff(basis.sigmas) > 0)
     for k in range(1, 11):
         assert basis.sigmas[k - 1] == pytest.approx(sigma_k(1.0, k), rel=0)
     # large systems and orders stay finite and ordered
-    big = JacobiBasis.for_system(500.0, 20)
+    big = JacobiBasis.build(FiniteNLaw(500.0).alpha, 20)
     assert np.all(np.diff(big.sigmas) > 0)
     for alpha in np.geomspace(1e-6, 5e7, 41):
         sweep = JacobiBasis.build(alpha, 30)
@@ -346,7 +346,7 @@ def test_unrescaled_operator_zero_mean():
 
 def test_psi_zero_mean_under_law():
     law = FiniteNLaw(5)
-    basis = JacobiBasis.for_system(5.0, 10)
+    basis = JacobiBasis.build(FiniteNLaw(5.0).alpha, 10)
     y = law.sample(200_000, 4242) / law.support_bound
     for k in range(1, 11):
         values = jacobi_psi(basis, k, y)
@@ -357,7 +357,7 @@ def test_psi_zero_mean_under_law():
 def test_psi_empirical_gram_is_identity():
     # all ten modes: uncorrelated with unit variance under the null
     law = FiniteNLaw(5)
-    basis = JacobiBasis.for_system(5.0, 10)
+    basis = JacobiBasis.build(FiniteNLaw(5.0).alpha, 10)
     y = law.sample(200_000, 31337) / law.support_bound
     psi = np.vstack([jacobi_psi(basis, k, y) for k in range(1, 11)])
     gram = (psi @ psi.T) / y.size
